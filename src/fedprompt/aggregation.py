@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Callable
 
-from fedprompt.backends.base import Backend, GenerationRequest, count_tokens
+from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, Backend, GenerationRequest, count_tokens
 from fedprompt.errors import ContextWindowExceeded, EmptyOutput
 from fedprompt.prompts import PromptState
 from fedprompt.templates import Templates, default_templates, fill
@@ -21,8 +22,6 @@ logger = logging.getLogger(__name__)
 DEFAULT_SEPARATOR = "\n\n"
 DEFAULT_DYNAMIC_THRESHOLD = 800
 
-STRATEGY_IDS = ("concat", "summarize", "summarize-uid", "dynamic")
-
 
 @dataclass
 class AggregationInput:
@@ -30,7 +29,7 @@ class AggregationInput:
 
     prompts: list[tuple[int, PromptState]]
     separator: str = DEFAULT_SEPARATOR
-    budget: int = 8192
+    budget: int = DEFAULT_CONTEXT_WINDOW
     backend: Backend | None = None
 
     def __post_init__(self) -> None:
@@ -66,12 +65,14 @@ def aggregate_concat(agg_input: AggregationInput) -> PromptState:
 
 def _summarize(
     agg_input: AggregationInput,
-    template: str,
-    producer: str,
+    templates: Templates | None,
     final_instruction: str | None,
+    uid: bool,
 ) -> PromptState:
     if agg_input.backend is None:
         raise ValueError("summarization strategies need a backend")
+    templates = templates or default_templates()
+    template = templates.summarize_uid_template if uid else templates.summarize_template
     numbered = "\n\n".join(
         f"{i}. {text}" for i, text in enumerate(agg_input.texts(), start=1)
     )
@@ -89,7 +90,7 @@ def _summarize(
         logger.warning(
             "summarized prompt does not end with the designated final instruction"
         )
-    return PromptState(text=merged, producer=producer)
+    return PromptState(text=merged, producer="summarize_uid" if uid else "summarize")
 
 
 def aggregate_summarize(
@@ -98,8 +99,7 @@ def aggregate_summarize(
     final_instruction: str | None = None,
 ) -> PromptState:
     """One summarization call merging the numbered client prompts."""
-    templates = templates or default_templates()
-    return _summarize(agg_input, templates.summarize_template, "summarize", final_instruction)
+    return _summarize(agg_input, templates, final_instruction, uid=False)
 
 
 def aggregate_summarize_uid(
@@ -108,10 +108,7 @@ def aggregate_summarize_uid(
     final_instruction: str | None = None,
 ) -> PromptState:
     """Summarization with the uniform-information-density nudge in the request."""
-    templates = templates or default_templates()
-    return _summarize(
-        agg_input, templates.summarize_uid_template, "summarize_uid", final_instruction
-    )
+    return _summarize(agg_input, templates, final_instruction, uid=True)
 
 
 def aggregate_dynamic(
@@ -131,6 +128,18 @@ def aggregate_dynamic(
     return aggregate_summarize(agg_input, templates, final_instruction)
 
 
+#: Strategy id -> merge function, called as
+#: ``merge(agg_input, threshold, templates, final_instruction)``.
+_STRATEGIES: dict[str, Callable[..., PromptState]] = {
+    "concat": lambda agg_input, threshold, *rest: aggregate_concat(agg_input),
+    "summarize": lambda agg_input, threshold, *rest: aggregate_summarize(agg_input, *rest),
+    "summarize-uid": lambda agg_input, threshold, *rest: aggregate_summarize_uid(agg_input, *rest),
+    "dynamic": aggregate_dynamic,
+}
+
+STRATEGY_IDS = tuple(_STRATEGIES)
+
+
 def aggregate(
     strategy: str,
     agg_input: AggregationInput,
@@ -139,12 +148,7 @@ def aggregate(
     final_instruction: str | None = None,
 ) -> PromptState:
     """Dispatch on a strategy id from :data:`STRATEGY_IDS`."""
-    if strategy == "concat":
-        return aggregate_concat(agg_input)
-    if strategy == "summarize":
-        return aggregate_summarize(agg_input, templates, final_instruction)
-    if strategy == "summarize-uid":
-        return aggregate_summarize_uid(agg_input, templates, final_instruction)
-    if strategy == "dynamic":
-        return aggregate_dynamic(agg_input, threshold, templates, final_instruction)
-    raise ValueError(f"unknown aggregation strategy: {strategy!r}")
+    merge = _STRATEGIES.get(strategy)
+    if merge is None:
+        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
+    return merge(agg_input, threshold, templates, final_instruction)

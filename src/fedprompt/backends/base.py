@@ -8,26 +8,18 @@ and the scripted test backends key on.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any
 
 from fedprompt.errors import ContextWindowExceeded, LogprobsUnsupported
 
-#: The six reasons a model gets called.
-GENERATION_TAGS = (
-    "forward",
-    "evaluation",
-    "gradient_response",
-    "gradient_prompt",
-    "tgd_step",
-    "aggregation_summarize",
-)
-
-#: Sampling temperature used when a request does not pin one. Optimization
-#: moves (forward rollout, prompt rewrite, summarization) keep the usual
-#: creative default; judging and feedback calls are greedy so that scores
-#: and criticisms are reproducible.
+#: Sampling temperature for each of the six reasons a model gets called, used
+#: when a request does not pin one. Optimization moves (forward rollout,
+#: prompt rewrite, summarization) keep the usual creative default; judging
+#: and feedback calls are greedy so that scores and criticisms are
+#: reproducible.
 DEFAULT_TEMPERATURES = {
     "forward": 0.7,
     "evaluation": 0.0,
@@ -36,6 +28,9 @@ DEFAULT_TEMPERATURES = {
     "tgd_step": 0.7,
     "aggregation_summarize": 0.7,
 }
+
+#: The six reasons a model gets called.
+GENERATION_TAGS = tuple(DEFAULT_TEMPERATURES)
 
 DEFAULT_MAX_OUTPUT_TOKENS = 512
 
@@ -79,15 +74,6 @@ class GenerationRequest:
         """Combined size of both text fields under the package counting rule."""
         return count_tokens(self.system_text) + count_tokens(self.user_text)
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "tag": self.tag,
-            "system_text": self.system_text,
-            "user_text": self.user_text,
-            "temperature": self.temperature,
-            "max_output_tokens": self.max_output_tokens,
-        }
-
 
 @dataclass
 class GenerationResult:
@@ -96,13 +82,6 @@ class GenerationResult:
     text: str
     prompt_tokens: int
     completion_tokens: int
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "prompt_tokens": self.prompt_tokens,
-            "completion_tokens": self.completion_tokens,
-        }
 
 
 @dataclass
@@ -191,7 +170,9 @@ class CallLog:
         return counts
 
     def total_cost_usd(self) -> float:
-        return sum(r.cost_usd for r in self.records())
+        # fsum is correctly rounded, so the total does not depend on the
+        # order in which concurrent clients appended their calls
+        return math.fsum(r.cost_usd for r in self.records())
 
     def __len__(self) -> int:
         with self._lock:
@@ -241,15 +222,3 @@ class Backend:
             prompt_tokens=request.prompt_token_count(),
             completion_tokens=count_tokens(text),
         )
-
-
-RuleFn = Callable[[GenerationRequest], "str | None"]
-
-
-def first_matching(rules: Iterable[RuleFn], request: GenerationRequest) -> str | None:
-    """Return the first non-``None`` rule output for ``request``."""
-    for rule in rules:
-        out = rule(request)
-        if out is not None:
-            return out
-    return None

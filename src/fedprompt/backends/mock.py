@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 from fedprompt.backends.base import (
     Backend,
     BackendDescriptor,
     GenerationRequest,
     GenerationResult,
-    RuleFn,
-    first_matching,
 )
 from fedprompt.errors import NoScriptMatch
+
+RuleFn = Callable[[GenerationRequest], "str | None"]
 
 
 def _normalize(text: str) -> str:
@@ -80,7 +81,11 @@ class MockBackend(Backend):
         for prefix, response in self._prefix.get(request.tag, ()):
             if key.startswith(prefix):
                 return response
-        return first_matching(self._rules, request)
+        for rule in self._rules:
+            reply = rule(request)
+            if reply is not None:
+                return reply
+        return None
 
 
 def load_script(path: str | Path, descriptor: BackendDescriptor | None = None) -> MockBackend:

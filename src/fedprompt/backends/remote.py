@@ -10,7 +10,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
+from collections import deque
 from pathlib import Path
 from typing import Any, Callable
 
@@ -35,27 +35,13 @@ def request_hash(payload: dict[str, Any]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class _Recorded:
-    """Responses stored for one request hash, replayed in recorded order."""
-
-    responses: list[dict[str, Any]]
-    cursor: int = 0
-
-    def next(self) -> dict[str, Any]:
-        if self.cursor < len(self.responses):
-            out = self.responses[self.cursor]
-            self.cursor += 1
-            return out
-        return self.responses[-1]
-
-
 class Cassette:
     """JSONL request/response store.
 
     ``mode="record"`` appends every live exchange; ``mode="replay"`` serves
-    stored responses by request hash and never touches the network. Each line
-    is ``{"request_hash", "request", "response", "timestamp"}``.
+    stored responses by request hash, each once and in recorded order, and
+    never touches the network. Each line is ``{"request_hash", "request",
+    "response", "timestamp"}``.
     """
 
     def __init__(self, path: str | Path, mode: str = "replay"):
@@ -63,7 +49,7 @@ class Cassette:
             raise ValueError(f"unknown cassette mode: {mode!r}")
         self.path = Path(path)
         self.mode = mode
-        self._store: dict[str, _Recorded] = {}
+        self._store: dict[str, deque[dict[str, Any]]] = {}
         if mode == "replay":
             self._load()
 
@@ -76,8 +62,7 @@ class Cassette:
                 if not line:
                     continue
                 entry = json.loads(line)
-                rec = self._store.setdefault(entry["request_hash"], _Recorded([]))
-                rec.responses.append(entry["response"])
+                self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
 
     def record(self, payload: dict[str, Any], response: dict[str, Any]) -> None:
         entry = {
@@ -91,10 +76,12 @@ class Cassette:
 
     def replay(self, payload: dict[str, Any]) -> dict[str, Any]:
         key = request_hash(payload)
-        rec = self._store.get(key)
-        if rec is None or not rec.responses:
-            raise BackendError(f"cassette {self.path} has no response for request hash {key[:12]}…")
-        return rec.next()
+        try:
+            return self._store[key].popleft()
+        except (KeyError, IndexError):
+            raise BackendError(
+                f"cassette {self.path} has no response left for request hash {key[:12]}…"
+            ) from None
 
 
 class RemoteBackend(Backend):
@@ -184,8 +171,7 @@ class RemoteBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        wire = {k: v for k, v in payload.items() if k != "op"}
-        response = self._exchange_tagged(payload, wire, "/chat/completions")
+        response = self._exchange_tagged(payload, "/chat/completions")
         try:
             text = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -197,12 +183,11 @@ class RemoteBackend(Backend):
             completion_tokens=usage.get("completion_tokens", count_tokens(text)),
         )
 
-    def _exchange_tagged(
-        self, keyed: dict[str, Any], wire: dict[str, Any], path: str
-    ) -> dict[str, Any]:
-        """Replay/record under the op-tagged payload, send the wire payload."""
+    def _exchange_tagged(self, keyed: dict[str, Any], path: str) -> dict[str, Any]:
+        """Replay/record under the op-tagged payload, send it without ``op``."""
         if self.cassette is not None and self.cassette.mode == "replay":
             return self.cassette.replay(keyed)
+        wire = {k: v for k, v in keyed.items() if k != "op"}
         response = self._post_with_retries(path, wire)
         if self.cassette is not None:
             self.cassette.record(keyed, response)
@@ -222,9 +207,8 @@ class RemoteBackend(Backend):
             "logprobs": 0,
             "max_tokens": 0,
         }
-        wire = {k: v for k, v in payload.items() if k != "op"}
         try:
-            response = self._exchange_tagged(payload, wire, "/completions")
+            response = self._exchange_tagged(payload, "/completions")
         except BackendError as exc:
             if "HTTP 404" in str(exc):
                 raise LogprobsUnsupported(

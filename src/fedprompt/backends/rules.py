@@ -14,12 +14,8 @@ import re
 
 from fedprompt.backends.base import GenerationRequest
 from fedprompt.backends.mock import MockBackend
+from fedprompt.prompts import FINAL_INSTRUCTION
 from fedprompt.templates import TGD_ANCHOR
-
-FINAL_INSTRUCTION = (
-    'The last line of your response should be of the following format: '
-    '"Answer: $VALUE" where VALUE is a numerical value.'
-)
 
 REVISED_PROMPT = (
     "Count the objects in the question by adding the stated quantities one by one, "

@@ -170,27 +170,20 @@ def _load_datasets(
 
 
 def _resolve_run_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults, config file, and flags (flags win)."""
-    settings: dict[str, Any] = {
-        "num_clients": 3,
-        "sampling_rate": 1.0,
-        "rounds": 1,
-        "local_epochs": 3,
-        "batch_size": 3,
-        "strategy": "concat",
-        "seed": 0,
-        "deterministic": True,
-        "initial_prompt": None,
-        "final_instruction": None,
-        "separator": DEFAULT_SEPARATOR,
-        "dynamic_threshold": DEFAULT_DYNAMIC_THRESHOLD,
-        "backend": {"kind": "mock"},
-        "datasets": [],
-        "templates_path": None,
-        "output_dir": None,
-        "ratios": list(DEFAULT_SPLIT_RATIOS),
-        "heterogeneous": False,
-    }
+    """Merge defaults, config file, and flags (flags win).
+
+    The keys are the :class:`RunConfig` fields plus the run's inputs and
+    outputs; a config file may set any of them and nothing else.
+    """
+    settings: dict[str, Any] = dataclasses.asdict(RunConfig())
+    settings.update(
+        backend={"kind": "mock"},
+        datasets=[],
+        templates_path=None,
+        output_dir=None,
+        ratios=list(DEFAULT_SPLIT_RATIOS),
+        heterogeneous=False,
+    )
     if args.config:
         path = Path(args.config)
         if not path.exists():
@@ -263,7 +256,7 @@ def _write_run_dir(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    config_snapshot = cfg.as_dict()
+    config_snapshot = dataclasses.asdict(cfg)
     config_snapshot.update(
         {
             "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
@@ -289,7 +282,7 @@ def _write_run_dir(
 
     with (out_dir / "rounds.jsonl").open("w", encoding="utf-8") as fh:
         for record in report.records:
-            fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+            fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
 
     with (out_dir / "decisions.jsonl").open("w", encoding="utf-8") as fh:
         for decision in report.decisions:
@@ -307,8 +300,8 @@ def _write_run_dir(
         for tag, count in record.llm_calls_by_tag.items():
             totals[tag] = totals.get(tag, 0) + count
     report_doc = {
-        "best_prompt": report.best_prompt.as_dict(),
-        "final_prompt": report.final_prompt.as_dict(),
+        "best_prompt": dataclasses.asdict(report.best_prompt),
+        "final_prompt": dataclasses.asdict(report.final_prompt),
         "best_val_accuracy": report.best_val_accuracy,
         "test_accuracy": report.test_accuracy,
         "test_parse_failures": report.test_parse_failures,
@@ -324,25 +317,28 @@ def _write_run_dir(
     )
 
 
+def _run_config(settings: dict[str, Any]) -> RunConfig:
+    """The :class:`RunConfig` fields of ``settings``.
+
+    Numeric and boolean fields are coerced to their default's type, so a
+    config file may write ``"rounds": "2"``. An empty or null prompt text
+    means the default prompt text.
+    """
+    values: dict[str, Any] = {}
+    for f in dataclasses.fields(RunConfig):
+        value = settings[f.name]
+        if f.name in ("initial_prompt", "final_instruction") and not value:
+            value = f.default
+        elif type(f.default) in (int, float, bool):
+            value = type(f.default)(value)
+        values[f.name] = value
+    return RunConfig(**values)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     started_at = time.time()
     settings = _resolve_run_settings(args)
-    cfg = RunConfig(
-        num_clients=int(settings["num_clients"]),
-        sampling_rate=float(settings["sampling_rate"]),
-        rounds=int(settings["rounds"]),
-        local_epochs=int(settings["local_epochs"]),
-        batch_size=int(settings["batch_size"]),
-        strategy=settings["strategy"],
-        seed=int(settings["seed"]),
-        deterministic=bool(settings["deterministic"]),
-        separator=settings["separator"],
-        dynamic_threshold=int(settings["dynamic_threshold"]),
-    )
-    if settings["initial_prompt"]:
-        cfg.initial_prompt = settings["initial_prompt"]
-    if settings["final_instruction"]:
-        cfg.final_instruction = settings["final_instruction"]
+    cfg = _run_config(settings)
     cfg.validate()
 
     templates, templates_path, templates_hash = _load_templates(settings["templates_path"])

@@ -28,17 +28,6 @@ class Variable:
     predecessors: list["Variable"] = field(default_factory=list)
 
 
-@dataclass
-class ForwardTrace:
-    """One query's full forward+evaluate pass, with the tags it issued."""
-
-    query: Variable
-    prompt: Variable
-    response: Variable
-    evaluation: Variable
-    call_log: list[str]
-
-
 def _meta(base: dict[str, Any] | None, **extra: Any) -> dict[str, Any]:
     out = dict(base or {})
     out.update(extra)
@@ -101,27 +90,6 @@ def evaluate(
         role_description="evaluation of the response",
         requires_grad=False,
         predecessors=[response],
-    )
-
-
-def forward_and_evaluate(
-    prompt: Variable,
-    query: Variable,
-    ground_truth: str,
-    backend: Backend,
-    templates: Templates | None = None,
-    metadata: dict[str, Any] | None = None,
-) -> ForwardTrace:
-    """Run one forward+evaluate pass and capture the tags it issued."""
-    templates = templates or default_templates()
-    before = len(backend.call_log)
-    response = forward_response(prompt, query, backend, metadata=metadata)
-    evaluation = evaluate(
-        response, ground_truth, templates.evaluation_instruction, backend, metadata=metadata
-    )
-    tags = [r.tag for r in backend.call_log.records()[before:]]
-    return ForwardTrace(
-        query=query, prompt=prompt, response=response, evaluation=evaluation, call_log=tags
     )
 
 

@@ -1,15 +1,22 @@
-"""Prompt lineage state shared by the runtime and the aggregation strategies."""
+"""Prompt lineage state and the default final instruction, shared by the
+runtime, the aggregation strategies and the rule backend."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 #: (round, client_id) for client-produced prompts, (round, "server") for
 #: server-produced ones. The initial prompt is (0, "server").
 Version = tuple[int, "int | str"]
 
-PRODUCERS = ("init", "tgd", "concat", "summarize", "summarize_uid", "dynamic")
+PRODUCERS = ("init", "tgd", "concat", "summarize", "summarize_uid")
+
+#: Default final instruction: the sentence merged prompts keep last, since it
+#: fixes the answer-line format that scoring extracts.
+FINAL_INSTRUCTION = (
+    'The last line of your response should be of the following format: '
+    '"Answer: $VALUE" where VALUE is a numerical value.'
+)
 
 
 @dataclass
@@ -25,10 +32,3 @@ class PromptState:
         if self.producer not in PRODUCERS:
             raise ValueError(f"unknown producer: {self.producer!r}")
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "text": self.text,
-            "version": list(self.version) if self.version else None,
-            "parent_version": list(self.parent_version) if self.parent_version else None,
-            "producer": self.producer,
-        }

@@ -7,9 +7,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
-from typing import Any
 
 from fedprompt.aggregation import (
     DEFAULT_DYNAMIC_THRESHOLD,
@@ -21,18 +19,12 @@ from fedprompt.aggregation import (
 from fedprompt.backends.base import Backend, count_tokens
 from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
 from fedprompt.errors import ConfigError, ContextWindowExceeded, EmptyPartition
-from fedprompt.prompts import PromptState
-from fedprompt.tasks import FederatedData, ScoreReport, TaskExample, score
+from fedprompt.prompts import FINAL_INSTRUCTION, PromptState
+from fedprompt.tasks import FederatedData, ScoreReport, TaskExample, exact_fraction, score
 from fedprompt.templates import Templates, default_templates
 
-DEFAULT_FINAL_INSTRUCTION = (
-    'The last line of your response should be of the following format: '
-    '"Answer: $VALUE" where VALUE is a numerical value.'
-)
-
 DEFAULT_INITIAL_PROMPT = (
-    "You will answer a reasoning question. Think step by step. "
-    + DEFAULT_FINAL_INSTRUCTION
+    "You will answer a reasoning question. Think step by step. " + FINAL_INSTRUCTION
 )
 
 
@@ -47,7 +39,7 @@ class RunConfig:
     seed: int = 0
     deterministic: bool = True
     initial_prompt: str = DEFAULT_INITIAL_PROMPT
-    final_instruction: str = DEFAULT_FINAL_INSTRUCTION
+    final_instruction: str = FINAL_INSTRUCTION
     separator: str = DEFAULT_SEPARATOR
     dynamic_threshold: int = DEFAULT_DYNAMIC_THRESHOLD
 
@@ -69,28 +61,11 @@ class RunConfig:
         if not self.initial_prompt.strip():
             raise ConfigError("initial_prompt must be non-empty")
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "num_clients": self.num_clients,
-            "sampling_rate": self.sampling_rate,
-            "rounds": self.rounds,
-            "local_epochs": self.local_epochs,
-            "batch_size": self.batch_size,
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "deterministic": self.deterministic,
-            "initial_prompt": self.initial_prompt,
-            "final_instruction": self.final_instruction,
-            "separator": self.separator,
-            "dynamic_threshold": self.dynamic_threshold,
-        }
-
 
 @dataclass
 class ClientState:
     id: int
     partition: list[TaskExample]
-    local_prompt: PromptState | None = None
 
 
 @dataclass
@@ -132,18 +107,6 @@ class RoundRecord:
     cumulative_cost_usd: float
     llm_calls_by_tag: dict[str, int]
 
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "round": self.round,
-            "strategy": self.strategy,
-            "global_prompt_tokens": self.global_prompt_tokens,
-            "per_client_tokens": self.per_client_tokens,
-            "val_accuracy": self.val_accuracy,
-            "round_cost_usd": self.round_cost_usd,
-            "cumulative_cost_usd": self.cumulative_cost_usd,
-            "llm_calls_by_tag": self.llm_calls_by_tag,
-        }
-
 
 @dataclass
 class RunReport:
@@ -157,15 +120,6 @@ class RunReport:
     records: list[RoundRecord]
     prompt_history: dict[int, dict[str, PromptState]]
     decisions: list[BatchDecision]
-
-
-def exact_fraction(x: float | int | str) -> Fraction:
-    """The decimal a human wrote, not the binary float they got.
-
-    ``Fraction(str(0.7))`` is 7/10; ``Fraction(0.7)`` is not. Sampling-rate
-    arithmetic must floor the former.
-    """
-    return Fraction(str(x))
 
 
 def sample_clients(n_clients: int, sampling_rate: float, rng: Random) -> list[int]:
@@ -307,9 +261,6 @@ def server_round(
         with ThreadPoolExecutor(max_workers=len(sampled)) as pool:
             futures = {cid: pool.submit(update, cid) for cid in sampled}
             results = {cid: futures[cid].result() for cid in sampled}
-
-    for cid in sampled:
-        by_id[cid].local_prompt = results[cid].prompt
 
     agg_input = AggregationInput(
         prompts=[(cid, results[cid].prompt) for cid in sampled],

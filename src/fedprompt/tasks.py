@@ -39,13 +39,6 @@ class Partition:
     mode: str  # "homogeneous" | "heterogeneous"
     seed: int | None = None
 
-    def to_manifest(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "seed": self.seed,
-            "clients": {str(cid): list(ids) for cid, ids in sorted(self.assignments.items())},
-        }
-
 
 @dataclass
 class FederatedData:
@@ -109,9 +102,18 @@ def load_dataset(path: str | Path, task_name: str = "") -> list[TaskExample]:
     return examples
 
 
+def exact_fraction(x: float | int | str) -> Fraction:
+    """The decimal a human wrote, not the binary float they got.
+
+    ``Fraction(str(0.7))`` is 7/10; ``Fraction(0.7)`` is not. Split ratios and
+    sampling-rate arithmetic must use the former.
+    """
+    return Fraction(str(x))
+
+
 def _exact_sizes(n: int, ratios: Iterable[float]) -> list[int]:
     """Split sizes by largest remainder over exact decimal ratios."""
-    fractions = [Fraction(str(r)) for r in ratios]
+    fractions = [exact_fraction(r) for r in ratios]
     if any(f <= 0 for f in fractions) or sum(fractions) != 1:
         raise ValueError(f"ratios must be positive and sum to 1, got {tuple(ratios)}")
     raw = [f * n for f in fractions]

@@ -455,6 +455,18 @@ class TestCassette:
         ]
         assert texts == ["first", "second"]
 
+    def test_replay_past_recorded_responses_is_an_error(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        session = _FakeSession([_FakeResponse(200, _chat_payload("only"))])
+        recorder = _remote(session, cassette=Cassette(path, mode="record"))
+        request = GenerationRequest(tag="forward", system_text="s", user_text="u")
+        recorder.generate(request)
+
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert replayer.generate(request).text == "only"
+        with pytest.raises(BackendError, match="no response left"):
+            replayer.generate(request)
+
 
 class _StubHandler(BaseHTTPRequestHandler):
     """Minimal OpenAI-compatible endpoint for live record tests."""

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from fedprompt.backends import remote
 from fedprompt.cli import main
+from fedprompt.runtime import RunConfig
 from tests.conftest import FINAL_INSTRUCTION, make_counting_rows, write_jsonl
 
 
@@ -27,6 +30,23 @@ def _run_args(dataset: Path, out: Path, **extra: str) -> list[str]:
     for flag, value in extra.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     return args
+
+
+_ANSWER = "Answer: 7"
+
+
+class _AnswerSession:
+    """Stands in for ``requests.Session`` and for each response it returns:
+    every chat completion answers ``_ANSWER``."""
+
+    status_code = 200
+    text = ""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self
+
+    def json(self):
+        return {"choices": [{"message": {"content": _ANSWER}}]}
 
 
 def _error_payload(capsys) -> dict:
@@ -151,6 +171,74 @@ class TestRunCommand:
         )
         assert code == 2
         assert _error_payload(capsys)["category"] == "config"
+
+    def test_config_file_blank_prompts_and_string_numbers_match_flags(self, tmp_path):
+        dataset = _dataset(tmp_path)
+        by_flags = tmp_path / "flags"
+        assert main(
+            _run_args(dataset, by_flags, rounds="2", sampling_rate="0.5", strategy="summarize")
+        ) == 0
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "num_clients": 2,
+                    "local_epochs": 1,
+                    "batch_size": 2,
+                    "seed": 3,
+                    "strategy": "summarize",
+                    "datasets": [str(dataset)],
+                    "initial_prompt": "",
+                    "final_instruction": None,
+                    "rounds": "2",
+                    "sampling_rate": "0.5",
+                }
+            )
+        )
+        by_file = tmp_path / "file"
+        assert main(["run", "--config", str(config), "--out", str(by_file)]) == 0
+        assert (by_file / "report.json").read_bytes() == (by_flags / "report.json").read_bytes()
+        configs = [
+            json.loads((out / "manifest.json").read_text())["config"] for out in (by_flags, by_file)
+        ]
+        for snapshot in configs:
+            del snapshot["output_dir"]
+        assert configs[0] == configs[1]
+
+    def test_defaults_come_from_run_config(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run"]) == 0
+        (manifest,) = tmp_path.glob("runs/*/manifest.json")
+        snapshot = json.loads(manifest.read_text())["config"]
+        defaults = dataclasses.asdict(RunConfig())
+        assert {key: snapshot[key] for key in defaults} == defaults
+
+    def test_cassette_replay_past_recording_exits_backend(self, tmp_path, monkeypatch, capsys):
+        # One client, one repeated question, and a prompt that already equals
+        # every model answer: round 2 repeats round 1's requests exactly, so
+        # only running out of recorded responses can stop a two-round replay
+        # of a one-round recording.
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        rows = [{"id": f"q:{i}", "question": "How many pens?", "answer": "7"} for i in range(10)]
+        dataset = write_jsonl(tmp_path / "same.jsonl", rows)
+        cassette = tmp_path / "cassette.jsonl"
+
+        def run_with_cassette(mode: str, rounds: str) -> int:
+            return main(
+                _run_args(
+                    dataset, tmp_path / f"{mode}-{rounds}", clients="1", rounds=rounds,
+                    initial_prompt=_ANSWER, backend="remote", endpoint="http://127.0.0.1:9/v1",
+                    cassette=cassette, cassette_mode=mode,
+                )
+            )
+
+        assert run_with_cassette("record", "1") == 0
+        assert run_with_cassette("replay", "1") == 0
+        capsys.readouterr()
+        assert run_with_cassette("replay", "2") == 3
+        payload = _error_payload(capsys)
+        assert payload["category"] == "backend"
+        assert "no response left" in payload["message"]
 
 
 class TestAggregateCommand:

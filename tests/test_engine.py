@@ -4,15 +4,7 @@ import pytest
 
 from fedprompt.backends.base import GENERATION_TAGS
 from fedprompt.backends.mock import MockBackend
-from fedprompt.engine import (
-    ForwardTrace,
-    Variable,
-    backward,
-    evaluate,
-    forward_and_evaluate,
-    forward_response,
-    tgd_step,
-)
+from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
 from fedprompt.errors import EmptyGradient, GraphNotEvaluated
 from fedprompt.templates import Templates, default_templates
 
@@ -39,6 +31,17 @@ def _vars() -> tuple[Variable, Variable]:
     )
     query = Variable("2 cars and 1 stove - how many objects?", "query to be answered")
     return prompt, query
+
+
+def _forward_then_evaluate(
+    prompt: Variable, query: Variable, truth: str, backend: MockBackend
+) -> tuple[Variable, Variable]:
+    """One example's forward pass and judged evaluation, as the runtime chains them."""
+    response = forward_response(prompt, query, backend)
+    evaluation = evaluate(
+        response, truth, default_templates().evaluation_instruction, backend
+    )
+    return response, evaluation
 
 
 class TestForward:
@@ -115,23 +118,23 @@ class TestEvaluate:
 class TestForwardTrace:
     def test_call_log_is_exactly_forward_then_evaluation(self):
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", _scripted_backend())
-        assert isinstance(trace, ForwardTrace)
-        assert trace.call_log == ["forward", "evaluation"]
+        backend = _scripted_backend()
+        _forward_then_evaluate(prompt, query, "3", backend)
+        assert backend.call_log.tags() == ["forward", "evaluation"]
 
     def test_trace_wires_variables(self):
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", _scripted_backend())
-        assert trace.response.predecessors == [prompt, query]
-        assert trace.evaluation.predecessors == [trace.response]
+        response, evaluation = _forward_then_evaluate(prompt, query, "3", _scripted_backend())
+        assert response.predecessors == [prompt, query]
+        assert evaluation.predecessors == [response]
 
 
 class TestBackward:
     def test_two_calls_in_order(self):
         backend = _scripted_backend()
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", backend)
-        backward(trace.evaluation, backend)
+        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
+        backward(evaluation, backend)
         assert backend.call_log.tags() == [
             "forward",
             "evaluation",
@@ -142,32 +145,32 @@ class TestBackward:
     def test_gradients_append_to_response_and_prompt(self):
         backend = _scripted_backend()
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", backend)
-        backward(trace.evaluation, backend)
-        assert trace.response.gradients == ["criticism of the response"]
+        response, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
+        backward(evaluation, backend)
+        assert response.gradients == ["criticism of the response"]
         assert prompt.gradients == ["This response can be improved by being specific."]
 
     def test_one_gradient_per_example(self):
         backend = _scripted_backend()
         prompt, query = _vars()
         for _ in range(3):
-            trace = forward_and_evaluate(prompt, query, "3", backend)
-            backward(trace.evaluation, backend)
+            _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
+            backward(evaluation, backend)
         assert len(prompt.gradients) == 3
 
     def test_frozen_variables_stay_clean(self):
         backend = _scripted_backend()
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", backend)
-        backward(trace.evaluation, backend)
+        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
+        backward(evaluation, backend)
         assert query.gradients == []
         assert query.requires_grad is False
 
     def test_prompt_gradient_phrasing_from_scripted_mock(self):
         backend = _scripted_backend()
         prompt, query = _vars()
-        trace = forward_and_evaluate(prompt, query, "3", backend)
-        backward(trace.evaluation, backend)
+        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
+        backward(evaluation, backend)
         assert prompt.gradients[0].startswith("This response can be improved by")
 
     def test_unevaluated_graph_rejected(self):
@@ -235,8 +238,8 @@ class TestBatchInvariant:
         prompt, _ = _vars()
         batch = [("query one", "1"), ("query two", "2"), ("query three", "3")]
         for question, truth in batch:
-            trace = forward_and_evaluate(prompt, Variable(question), truth, backend)
-            backward(trace.evaluation, backend)
+            _, evaluation = _forward_then_evaluate(prompt, Variable(question), truth, backend)
+            backward(evaluation, backend)
         tgd_step(prompt, backend)
         counts = backend.call_log.counts_by_tag()
         assert counts["forward"] == 3

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from random import Random
 
@@ -14,6 +15,8 @@ from fedprompt.backends.rules import (
     forward_rule,
     gradient_prompt_rule,
     gradient_response_rule,
+    summarize_rule,
+    tgd_rule,
 )
 from fedprompt.errors import (
     ConfigError,
@@ -27,12 +30,11 @@ from fedprompt.runtime import (
     RunConfig,
     ServerState,
     client_update,
-    exact_fraction,
     run,
     sample_clients,
     server_round,
 )
-from fedprompt.tasks import FederatedData, Partition
+from fedprompt.tasks import FederatedData, Partition, exact_fraction
 from tests.conftest import FINAL_INSTRUCTION, alternating_backend, make_examples
 
 
@@ -351,11 +353,27 @@ class TestRun:
         )
 
     def test_threaded_and_sequential_agree(self):
+        # float sums of these prices depend on summation order
+        descriptor = BackendDescriptor(
+            kind="mock", model_id="priced", usd_per_1k_prompt_tokens=0.0013,
+            usd_per_1k_completion_tokens=0.0071,
+        )
+
+        def interleaving_backend() -> MockBackend:
+            # every call yields the GIL first, so client threads interleave
+            # their calls the way they would against a remote model
+            backend = MockBackend(descriptor)
+            backend.add_rule(lambda request: time.sleep(0))
+            for rule in (forward_rule, evaluation_rule, gradient_response_rule,
+                         gradient_prompt_rule, tgd_rule, summarize_rule):
+                backend.add_rule(rule)
+            return backend
+
         data = _federated()
         sequential = run(
             RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5),
             data,
-            counting_rule_backend(),
+            interleaving_backend(),
         )
         threaded = run(
             RunConfig(
@@ -363,13 +381,16 @@ class TestRun:
                 deterministic=False,
             ),
             data,
-            counting_rule_backend(),
+            interleaving_backend(),
         )
         assert threaded.final_prompt.text == sequential.final_prompt.text
         assert threaded.best_prompt.text == sequential.best_prompt.text
         assert [d.example_ids for d in threaded.decisions] == [
             d.example_ids for d in sequential.decisions
         ]
+        assert threaded.records == sequential.records
+        assert threaded.total_cost_usd == sequential.total_cost_usd
+        assert threaded.final_test_cost_usd == sequential.final_test_cost_usd
 
     def test_partition_coverage_checked(self):
         data = _federated(n_clients=3)

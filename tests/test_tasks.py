@@ -167,9 +167,8 @@ class TestPartitions:
 
     def test_manifest_shape(self):
         partition = partition_homogeneous(make_examples(4), 2, seed=0)
-        manifest = partition.to_manifest()
-        assert manifest["mode"] == "homogeneous"
-        assert set(manifest["clients"]) == {"0", "1"}
+        assert partition.mode == "homogeneous"
+        assert set(partition.assignments) == {0, 1}
 
     def test_heterogeneous_clients_follow_task_order(self):
         by_task = {
