@@ -75,7 +75,7 @@ class GenerationRequest:
         return count_tokens(self.system_text) + count_tokens(self.user_text)
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationResult:
     """What came back from one call."""
 
@@ -128,32 +128,74 @@ class BackendDescriptor:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CallRecord:
-    """One completed call, as kept in the log."""
+    """One completed call, as kept in the log.
+
+    ``source`` says where the result came from: ``"live"`` (the backend
+    computed or fetched it), ``"cassette"`` (a replay cassette) or ``"memo"``
+    (an earlier identical greedy call; such a record costs nothing).
+    """
 
     index: int
     tag: str
     request: GenerationRequest
     result: GenerationResult
     cost_usd: float
+    source: str = "live"
+
+
+def _add_exact(partials: list[float], x: float) -> None:
+    """Add ``x`` to a list of non-overlapping partial sums, exactly.
+
+    Shewchuk's algorithm: afterwards the partials still sum, with no rounding
+    error, to the exact total of everything added, so ``math.fsum`` over them
+    equals ``math.fsum`` over the addends themselves.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
 
 
 class CallLog:
     """Append-only, thread-safe record of every call a backend served.
 
     Client updates may run concurrently, so appends take a lock; reads hand
-    back snapshots.
+    back snapshots. Per-tag counts and the exact running cost are kept as
+    records arrive, so reading them does not scan the log. A call counts as
+    *issued* unless the memo served it.
     """
 
     def __init__(self) -> None:
         self._records: list[CallRecord] = []
         self._lock = threading.Lock()
+        self._counts = dict.fromkeys(GENERATION_TAGS, 0)
+        self._issued = dict.fromkeys(GENERATION_TAGS, 0)
+        self._cost_partials: list[float] = []
 
-    def append(self, request: GenerationRequest, result: GenerationResult, cost_usd: float) -> CallRecord:
+    def append(
+        self,
+        request: GenerationRequest,
+        result: GenerationResult,
+        cost_usd: float,
+        source: str = "live",
+    ) -> CallRecord:
         with self._lock:
-            record = CallRecord(len(self._records), request.tag, request, result, cost_usd)
+            record = CallRecord(len(self._records), request.tag, request, result, cost_usd, source)
             self._records.append(record)
+            self._counts[request.tag] += 1
+            if source != "memo":
+                self._issued[request.tag] += 1
+            if cost_usd:
+                _add_exact(self._cost_partials, cost_usd)
             return record
 
     def records(self) -> list[CallRecord]:
@@ -164,15 +206,18 @@ class CallLog:
         return [r.tag for r in self.records()]
 
     def counts_by_tag(self) -> dict[str, int]:
-        counts = {tag: 0 for tag in GENERATION_TAGS}
-        for record in self.records():
-            counts[record.tag] += 1
-        return counts
+        with self._lock:
+            return dict(self._counts)
+
+    def issued_counts_by_tag(self) -> dict[str, int]:
+        with self._lock:
+            return dict(self._issued)
 
     def total_cost_usd(self) -> float:
-        # fsum is correctly rounded, so the total does not depend on the
-        # order in which concurrent clients appended their calls
-        return math.fsum(r.cost_usd for r in self.records())
+        # correctly rounded, so the total does not depend on the order in
+        # which concurrent clients appended their calls
+        with self._lock:
+            return math.fsum(self._cost_partials)
 
     def __len__(self) -> int:
         with self._lock:
@@ -202,10 +247,16 @@ class Backend:
                 needed=needed,
                 budget=budget,
             )
-        result = self._generate(request)
-        cost = self.descriptor.cost_usd(result.prompt_tokens, result.completion_tokens)
-        self.call_log.append(request, result, cost)
+        result, source = self._serve(request)
+        cost = 0.0 if source == "memo" else self.descriptor.cost_usd(
+            result.prompt_tokens, result.completion_tokens
+        )
+        self.call_log.append(request, result, cost, source)
         return result
+
+    def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
+        """The result for ``request`` and its :attr:`CallRecord.source`."""
+        return self._generate(request), "live"
 
     def _generate(self, request: GenerationRequest) -> GenerationResult:
         raise NotImplementedError

@@ -106,8 +106,8 @@ class NgramBackend(Backend):
         condition the estimate, matching how sequences are scored.
         """
         word = self._map_token(word)
-        hist = tuple(self._map_token(t) for t in history)
-        hist = hist[max(0, len(hist) - (self.order - 1)) :]
+        window = history[max(0, len(history) - (self.order - 1)) :]
+        hist = tuple(self._map_token(t) for t in window)
         c_hw = self._next.get(hist, Counter())[word]
         c_h = self._totals[hist]
         v = len(self.vocab)
@@ -125,13 +125,15 @@ class NgramBackend(Backend):
     # -- backend interface -----------------------------------------------------
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
-        context_tokens = context.split()
+        keep = self.order - 1
+        window = [self._map_token(t) for t in context.split()]
         text_tokens = text.split()
         logprobs = []
-        running = list(context_tokens)
         for tok in text_tokens:
-            logprobs.append(self.logprob(tok, running))
-            running.append(tok)
+            # only the last order-1 tokens condition the estimate
+            window = window[max(0, len(window) - keep) :]
+            logprobs.append(self.logprob(tok, window))
+            window.append(tok)
         return TokenLogprobs(tokens=text_tokens, logprobs=logprobs)
 
     def _generate(self, request: GenerationRequest) -> GenerationResult:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 from collections import deque
 from pathlib import Path
@@ -50,6 +51,7 @@ class Cassette:
         self.path = Path(path)
         self.mode = mode
         self._store: dict[str, deque[dict[str, Any]]] = {}
+        self._write_lock = threading.Lock()
         if mode == "replay":
             self._load()
 
@@ -71,8 +73,9 @@ class Cassette:
             "response": response,
             "timestamp": time.time(),
         }
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry) + "\n")
+        line = json.dumps(entry) + "\n"
+        with self._write_lock, self.path.open("a", encoding="utf-8") as fh:
+            fh.write(line)
 
     def replay(self, payload: dict[str, Any]) -> dict[str, Any]:
         key = request_hash(payload)
@@ -91,6 +94,13 @@ class RemoteBackend(Backend):
     are for transport failures and HTTP 429 only; other HTTP errors surface
     immediately. Token scoring uses echo-style completions and requires the
     descriptor to advertise ``supports_logprobs``.
+
+    Responses come from one store with two layers. A temperature-0 chat
+    request whose exact content was already answered is served from memory
+    (source ``"memo"``, no cost, no exchange); every other request goes to
+    the cassette (replay) or the endpoint. Concurrent identical greedy
+    requests wait for the first one instead of issuing their own, and a
+    failed request stores nothing, so a waiter then tries it itself.
     """
 
     def __init__(
@@ -114,6 +124,9 @@ class RemoteBackend(Backend):
         self.backoff_base = backoff_base
         self.sleep = sleep
         self.timeout = timeout
+        self._memo: dict[tuple, GenerationResult] = {}
+        self._in_flight: set[tuple] = set()
+        self._memo_changed = threading.Condition(threading.Lock())
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -159,6 +172,35 @@ class RemoteBackend(Backend):
         )
 
     # -- backend interface -----------------------------------------------------
+
+    def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
+        replaying = self.cassette is not None and self.cassette.mode == "replay"
+        source = "cassette" if replaying else "live"
+        if request.temperature != 0:
+            return self._generate(request), source
+        key = (
+            self.descriptor.model_id,
+            request.system_text,
+            request.user_text,
+            request.temperature,
+            request.max_output_tokens,
+        )
+        with self._memo_changed:
+            while key in self._in_flight:
+                self._memo_changed.wait()
+            if key in self._memo:
+                return self._memo[key], "memo"
+            self._in_flight.add(key)
+        result = None
+        try:
+            result = self._generate(request)
+        finally:
+            with self._memo_changed:
+                self._in_flight.discard(key)
+                if result is not None:
+                    self._memo[key] = result
+                self._memo_changed.notify_all()
+        return result, source
 
     def _generate(self, request: GenerationRequest) -> GenerationResult:
         payload = {

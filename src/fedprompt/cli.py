@@ -47,7 +47,7 @@ from fedprompt.tasks import (
     score,
 )
 from fedprompt.templates import Templates, default_templates
-from fedprompt.uid import compare_uniformity, uid_stats
+from fedprompt.uid import compare_uniformity, scored_uid_stats, uid_stats
 
 CATEGORY_BY_CODE = {
     2: "config",
@@ -295,10 +295,13 @@ def _write_run_dir(
             filename = "global.txt" if name == "global" else f"client_{name}.txt"
             (round_dir / filename).write_text(state.text + "\n", encoding="utf-8")
 
-    totals: dict[str, int] = {}
-    for record in report.records:
-        for tag, count in record.llm_calls_by_tag.items():
-            totals[tag] = totals.get(tag, 0) + count
+    def total_calls(field: str) -> dict[str, int]:
+        totals: dict[str, int] = {}
+        for record in report.records:
+            for tag, count in getattr(record, field).items():
+                totals[tag] = totals.get(tag, 0) + count
+        return totals
+
     report_doc = {
         "best_prompt": dataclasses.asdict(report.best_prompt),
         "final_prompt": dataclasses.asdict(report.final_prompt),
@@ -310,7 +313,8 @@ def _write_run_dir(
         "rounds": len(report.records),
         "per_round_token_lengths": [r.global_prompt_tokens for r in report.records],
         "per_round_val_accuracy": [r.val_accuracy for r in report.records],
-        "llm_calls_by_tag": totals,
+        "llm_calls_by_tag": total_calls("llm_calls_by_tag"),
+        "llm_calls_issued_by_tag": total_calls("llm_calls_issued_by_tag"),
     }
     (out_dir / "report.json").write_text(
         json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -435,8 +439,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    stats = uid_stats(text, args.context, backend)
-    scored = backend.token_logprobs(args.context, text)
+    scored, stats = scored_uid_stats(text, args.context, backend)
     writer = csv.writer(sys.stdout)
     writer.writerow(["token", "logprob_nat", "surprisal_bits"])
     for token, logprob, surprisal in zip(scored.tokens, scored.logprobs, stats.surprisals):

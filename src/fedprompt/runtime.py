@@ -106,6 +106,7 @@ class RoundRecord:
     round_cost_usd: float
     cumulative_cost_usd: float
     llm_calls_by_tag: dict[str, int]
+    llm_calls_issued_by_tag: dict[str, int]
 
 
 @dataclass
@@ -246,8 +247,10 @@ def server_round(
     sampled = sample_clients(cfg.num_clients, cfg.sampling_rate, sample_rng)
     by_id = {c.id: c for c in clients}
 
-    cost_before = backend.call_log.total_cost_usd()
-    calls_before = backend.call_log.counts_by_tag()
+    log = backend.call_log
+    cost_before = log.total_cost_usd()
+    calls_before = log.counts_by_tag()
+    issued_before = log.issued_counts_by_tag()
 
     def update(cid: int) -> ClientUpdateResult:
         return client_update(
@@ -291,8 +294,9 @@ def server_round(
         server.best_prompt = new_global
         server.best_val_score = val_report.accuracy
 
-    cost_after = backend.call_log.total_cost_usd()
-    calls_after = backend.call_log.counts_by_tag()
+    cost_after = log.total_cost_usd()
+    calls_after = log.counts_by_tag()
+    issued_after = log.issued_counts_by_tag()
     record = RoundRecord(
         round=round_no,
         strategy=cfg.strategy,
@@ -303,6 +307,9 @@ def server_round(
         cumulative_cost_usd=cost_after,
         llm_calls_by_tag={
             tag: calls_after[tag] - calls_before[tag] for tag in calls_after
+        },
+        llm_calls_issued_by_tag={
+            tag: issued_after[tag] - issued_before[tag] for tag in issued_after
         },
     )
     snapshots: dict[str, PromptState] = {str(cid): results[cid].prompt for cid in sampled}

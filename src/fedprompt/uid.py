@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from fedprompt.backends.base import Backend
+from fedprompt.backends.base import Backend, TokenLogprobs
 from fedprompt.errors import EmptyText
 
 _LN2 = math.log(2.0)
@@ -54,7 +54,15 @@ class SurprisalStats:
 
 
 def surprisal_series(text: str, context: str, backend: Backend) -> list[float]:
-    """Per-token surprisal of ``text`` given ``context``, in bits.
+    """Per-token surprisal of ``text`` given ``context``, in bits."""
+    return scored_uid_stats(text, context, backend)[1].surprisals
+
+
+def scored_uid_stats(
+    text: str, context: str, backend: Backend
+) -> tuple[TokenLogprobs, SurprisalStats]:
+    """Score ``text`` once: the backend's token log probabilities and their
+    surprisal stats.
 
     The backend reports natural-log probabilities; conversion to base 2
     happens here. Adding 0.0 normalizes the -0.0 a certain token would
@@ -63,12 +71,12 @@ def surprisal_series(text: str, context: str, backend: Backend) -> list[float]:
     if not text.split():
         raise EmptyText("cannot measure surprisal of empty text")
     scored = backend.token_logprobs(context, text)
-    return [-(lp / _LN2) + 0.0 for lp in scored.logprobs]
+    series = [-(lp / _LN2) + 0.0 for lp in scored.logprobs]
+    return scored, SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
 
 
 def uid_stats(text: str, context: str, backend: Backend) -> SurprisalStats:
-    series = surprisal_series(text, context, backend)
-    return SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
+    return scored_uid_stats(text, context, backend)[1]
 
 
 @dataclass

@@ -2,15 +2,22 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedprompt.backends.base import (
+    GENERATION_TAGS,
     Backend,
     BackendDescriptor,
+    CallLog,
     GenerationRequest,
+    GenerationResult,
     TokenLogprobs,
     count_tokens,
 )
@@ -139,6 +146,34 @@ class TestCallLog:
             t.join()
         assert len(backend.call_log) == 1600
         assert [r.index for r in backend.call_log.records()] == list(range(1600))
+
+    def test_running_counts_match_the_records(self):
+        log = CallLog()
+        result = GenerationResult("ok", 1, 1)
+        for tag, source in (("forward", "live"), ("evaluation", "memo"), ("evaluation", "cassette")):
+            log.append(GenerationRequest(tag=tag, system_text="", user_text="x"), result, 0.5, source)
+        assert log.counts_by_tag() == {**dict.fromkeys(GENERATION_TAGS, 0), "forward": 1, "evaluation": 2}
+        assert log.issued_counts_by_tag() == {**dict.fromkeys(GENERATION_TAGS, 0), "forward": 1, "evaluation": 1}
+        assert [r.source for r in log.records()] == ["live", "memo", "cassette"]
+        assert log.total_cost_usd() == 1.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        costs=st.lists(
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+            max_size=60,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_running_total_equals_fsum_in_any_append_order(self, costs, seed):
+        random.Random(seed).shuffle(costs)
+        log = CallLog()
+        result = GenerationResult("ok", 1, 1)
+        request = GenerationRequest(tag="forward", system_text="", user_text="x")
+        for cost in costs:
+            log.append(request, result, cost)
+        assert log.total_cost_usd() == math.fsum(costs)
+        assert log.total_cost_usd() == math.fsum(r.cost_usd for r in log.records())
 
 
 class TestMockBackend:
@@ -466,6 +501,210 @@ class TestCassette:
         assert replayer.generate(request).text == "only"
         with pytest.raises(BackendError, match="no response left"):
             replayer.generate(request)
+
+
+    def test_concurrent_records_leave_one_parseable_line_each(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        cassette = Cassette(path, mode="record")
+        cassette.path = _ChunkedPath(path)
+        n = 8
+        start = threading.Barrier(n)
+
+        def record(i):
+            start.wait()
+            cassette.record({"op": "chat.completions", "i": i}, {"text": str(i) * 20_000})
+
+        threads = [threading.Thread(target=record, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert sorted(json.loads(line)["request"]["i"] for line in lines) == list(range(n))
+
+    def test_memo_cassette_holds_each_greedy_exchange_once(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        session = _FakeSession([_FakeResponse(200, _chat_payload("judged"))])
+        recorder = _remote(session, cassette=Cassette(path, mode="record"))
+        for _ in range(3):
+            recorder.generate(_greedy())
+        assert len(path.read_text().splitlines()) == 1
+
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        texts = [replayer.generate(_greedy()).text for _ in range(3)]
+        assert texts == ["judged"] * 3
+        assert [r.source for r in replayer.call_log.records()] == ["cassette", "memo", "memo"]
+
+    def test_cassette_recorded_without_memo_still_replays(self, tmp_path):
+        # a cassette written before greedy calls were memoized holds every
+        # repeat; replay uses the first and leaves the rest unread
+        request = _greedy()
+        payload = {
+            "op": "chat.completions",
+            "model": "test-model",
+            "messages": [
+                {"role": "system", "content": request.system_text},
+                {"role": "user", "content": request.user_text},
+            ],
+            "temperature": 0.0,
+            "max_tokens": request.max_output_tokens,
+        }
+        path = tmp_path / "old.jsonl"
+        with path.open("w", encoding="utf-8") as fh:
+            for _ in range(3):
+                entry = {"request_hash": request_hash(payload), "request": payload,
+                         "response": _chat_payload("judged"), "timestamp": 0.0}
+                fh.write(json.dumps(entry) + "\n")
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert [replayer.generate(_greedy()).text for _ in range(3)] == ["judged"] * 3
+
+
+class _ChunkedPath:
+    """A path whose files write long strings in small pieces, letting other
+    threads run in between, as a filesystem may when it takes partial writes."""
+
+    def __init__(self, path):
+        self._path = path
+
+    def open(self, mode, encoding=None):
+        path = self._path
+
+        class Chunked:
+            def __enter__(self):
+                self._fh = path.open(mode, encoding=encoding, buffering=1)
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, text):
+                for i in range(0, len(text), 4096):
+                    self._fh.write(text[i : i + 4096])
+                    self._fh.flush()
+                    time.sleep(0)
+
+        return Chunked()
+
+
+def _greedy(user_text: str = "judge this") -> GenerationRequest:
+    return GenerationRequest(tag="evaluation", system_text="", user_text=user_text)
+
+
+class _SlowSession:
+    """Thread-safe session that holds each post open for ``delay`` seconds
+    and fails the first ``failures`` posts with HTTP 400."""
+
+    def __init__(self, delay: float = 0.0, failures: int = 0):
+        self.delay = delay
+        self.failures = failures
+        self.posts = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._lock:
+            self.posts += 1
+            fail = self.posts <= self.failures
+        time.sleep(self.delay)
+        if fail:
+            return _FakeResponse(400, text="bad request")
+        return _FakeResponse(200, _chat_payload("judged"))
+
+
+class TestResponseMemo:
+    def _priced(self, session) -> RemoteBackend:
+        descriptor = BackendDescriptor(
+            kind="remote", model_id="test-model", endpoint="http://fake.test/v1",
+            usd_per_1k_prompt_tokens=1.0, usd_per_1k_completion_tokens=2.0,
+        )
+        return RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+
+    def test_repeated_greedy_request_posts_once(self):
+        session = _FakeSession([_FakeResponse(200, _chat_payload("judged"))])
+        backend = _remote(session)
+        first = backend.generate(_greedy())
+        second = backend.generate(_greedy())
+        assert len(session.calls) == 1
+        assert second is first
+        assert len(backend.call_log) == 2
+
+    def test_memo_records_are_marked_and_free(self):
+        backend = self._priced(_FakeSession([_FakeResponse(200, _chat_payload("judged"))]))
+        for _ in range(3):
+            backend.generate(_greedy())
+        records = backend.call_log.records()
+        assert [r.source for r in records] == ["live", "memo", "memo"]
+        assert [r.cost_usd for r in records[1:]] == [0.0, 0.0]
+        assert records[0].cost_usd == pytest.approx((7 * 1.0 + 2 * 2.0) / 1000)
+        assert backend.call_log.total_cost_usd() == records[0].cost_usd
+        assert backend.call_log.counts_by_tag()["evaluation"] == 3
+        assert backend.call_log.issued_counts_by_tag()["evaluation"] == 1
+
+    def test_sampled_request_always_posts(self):
+        session = _FakeSession([_FakeResponse(200, _chat_payload("a")), _FakeResponse(200, _chat_payload("b"))])
+        backend = _remote(session)
+        texts = [
+            backend.generate(
+                GenerationRequest(tag="evaluation", system_text="", user_text="x", temperature=0.7)
+            ).text
+            for _ in range(2)
+        ]
+        assert texts == ["a", "b"]
+        assert len(session.calls) == 2
+        assert [r.source for r in backend.call_log.records()] == ["live", "live"]
+
+    def test_differing_content_is_not_shared(self):
+        session = _FakeSession([_FakeResponse(200, _chat_payload("a")), _FakeResponse(200, _chat_payload("b"))])
+        backend = _remote(session)
+        assert backend.generate(_greedy("one")).text == "a"
+        assert backend.generate(_greedy("two")).text == "b"
+        assert len(session.calls) == 2
+
+    def test_failure_is_not_memoized(self):
+        session = _FakeSession(
+            [_FakeResponse(400, text="bad request"), _FakeResponse(200, _chat_payload("judged"))]
+        )
+        backend = _remote(session)
+        with pytest.raises(BackendError):
+            backend.generate(_greedy())
+        assert backend.generate(_greedy()).text == "judged"
+        assert len(session.calls) == 2
+        assert [r.source for r in backend.call_log.records()] == ["live"]
+
+    def _concurrently(self, backend: RemoteBackend, n: int) -> list:
+        start = threading.Barrier(n)
+        outcomes: list = [None] * n
+
+        def call(i):
+            start.wait()
+            try:
+                outcomes[i] = backend.generate(_greedy())
+            except BackendError as exc:
+                outcomes[i] = exc
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        return outcomes
+
+    def test_concurrent_identical_greedy_requests_post_once(self):
+        session = _SlowSession(delay=0.05)
+        backend = _remote(session)
+        outcomes = self._concurrently(backend, 8)
+        assert session.posts == 1
+        assert all(o is outcomes[0] for o in outcomes)
+        sources = sorted(r.source for r in backend.call_log.records())
+        assert sources == ["live"] + ["memo"] * 7
+
+    def test_waiters_retry_after_a_failed_owner(self):
+        session = _SlowSession(delay=0.05, failures=1)
+        backend = _remote(session)
+        outcomes = self._concurrently(backend, 4)
+        failed = [o for o in outcomes if isinstance(o, BackendError)]
+        assert len(failed) == 1
+        assert session.posts == 2
+        assert sorted(r.source for r in backend.call_log.records()) == ["live", "memo", "memo"]
 
 
 class _StubHandler(BaseHTTPRequestHandler):

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from fedprompt.backends import remote
+from fedprompt.backends.ngram import NgramBackend
 from fedprompt.cli import main
 from fedprompt.runtime import RunConfig
 from tests.conftest import FINAL_INSTRUCTION, make_counting_rows, write_jsonl
@@ -75,6 +77,7 @@ class TestRunCommand:
         assert len(report["per_round_val_accuracy"]) == 1
         assert report["best_prompt"]["producer"] == "concat"
         assert "tgd_step" in report["llm_calls_by_tag"]
+        assert report["llm_calls_issued_by_tag"] == report["llm_calls_by_tag"]  # no memo on the mock
         assert "started_at" not in report
 
     def test_manifest_records_hashes_not_secrets(self, tmp_path):
@@ -241,6 +244,36 @@ class TestRunCommand:
         assert "no response left" in payload["message"]
 
 
+    def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        cassette = tmp_path / "cassette.jsonl"
+
+        def run_with_cassette(mode: str) -> dict:
+            out = tmp_path / mode
+            assert main(
+                _run_args(
+                    _dataset(tmp_path), out, backend="remote", endpoint="http://127.0.0.1:9/v1",
+                    cassette=cassette, cassette_mode=mode,
+                )
+            ) == 0
+            return (out / "report.json").read_bytes()
+
+        recorded = run_with_cassette("record")
+        report = json.loads(recorded)
+        logical, issued = report["llm_calls_by_tag"], report["llm_calls_issued_by_tag"]
+        assert set(issued) == set(logical)
+        assert all(issued[tag] <= logical[tag] for tag in logical)
+        assert issued["tgd_step"] == logical["tgd_step"]
+        assert issued["evaluation"] < logical["evaluation"]
+        # the cassette holds only issued exchanges: the report's issued calls
+        # plus the test split's
+        lines = cassette.read_text(encoding="utf-8").splitlines()
+        assert sum(issued.values()) < len(lines) < sum(logical.values())
+
+        monkeypatch.setattr(remote.requests, "Session", lambda: None)  # replay must not post
+        assert run_with_cassette("replay") == recorded
+
+
 class TestAggregateCommand:
     def _prompt_files(self, tmp_path: Path, texts: list[str]) -> list[str]:
         paths = []
@@ -321,6 +354,25 @@ class TestSurprisalCommand:
         footer = json.loads(lines[-1])
         assert set(footer) == {"mu", "sigma2", "max", "n"}
         assert footer["n"] == 2
+
+    def test_csv_scores_the_text_once(self, tmp_path, capsys, monkeypatch):
+        corpus = self._write(tmp_path, "corpus.txt", "a b a b a b\na b")
+        text = self._write(tmp_path, "text.txt", "a b a")
+        scored = []
+        original = NgramBackend.token_logprobs
+
+        def counted(backend, context, text):
+            scored.append(text)
+            return original(backend, context, text)
+
+        monkeypatch.setattr(NgramBackend, "token_logprobs", counted)
+        assert main(["surprisal", "--text", text, "--corpus", corpus]) == 0
+        assert scored == ["a b a"]
+        lines = capsys.readouterr().out.splitlines()
+        footer = json.loads(lines[-1])
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [float(r[2]) for r in rows] == pytest.approx([-float(r[1]) / math.log(2) for r in rows])
+        assert footer["max"] == max(float(r[2]) for r in rows)
 
     def test_compare_emits_verdict(self, tmp_path, capsys):
         corpus = self._write(tmp_path, "corpus.txt", "a a a a a a a a b")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+import threading
 import time
 from fractions import Fraction
 from random import Random
@@ -8,6 +10,7 @@ import pytest
 
 from fedprompt.backends.base import BackendDescriptor
 from fedprompt.backends.mock import MockBackend
+from fedprompt.backends.remote import RemoteBackend
 from fedprompt.backends.rules import (
     REVISED_PROMPT,
     counting_rule_backend,
@@ -274,6 +277,7 @@ class TestServerRound:
         assert record.llm_calls_by_tag["tgd_step"] == 6
         assert record.llm_calls_by_tag["evaluation"] == 12
         assert record.llm_calls_by_tag["forward"] == 12 + 24 + 3
+        assert record.llm_calls_issued_by_tag == record.llm_calls_by_tag  # no memo on the mock
         assert record.round == 1
         assert record.strategy == "concat"
         assert 0.0 <= record.val_accuracy <= 1.0
@@ -392,6 +396,32 @@ class TestRun:
         assert threaded.total_cost_usd == sequential.total_cost_usd
         assert threaded.final_test_cost_usd == sequential.final_test_cost_usd
 
+    def test_threaded_and_sequential_agree_on_a_priced_remote(self):
+        descriptor = BackendDescriptor(
+            kind="remote", model_id="priced", endpoint="http://fake.test/v1",
+            usd_per_1k_prompt_tokens=0.0013, usd_per_1k_completion_tokens=0.0071,
+        )
+        data = _federated()
+        outcomes = []
+        for deterministic in (True, False):
+            session = _SummingSession()
+            backend = RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+            cfg = RunConfig(
+                num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5,
+                deterministic=deterministic,
+            )
+            outcomes.append((run(cfg, data, backend), session.posts, backend.call_log))
+        (sequential, seq_posts, seq_log), (threaded, thr_posts, thr_log) = outcomes
+        assert threaded.records == sequential.records
+        assert threaded.total_cost_usd == sequential.total_cost_usd
+        assert threaded.final_test_cost_usd == sequential.final_test_cost_usd
+        assert thr_posts == seq_posts
+        assert thr_log.issued_counts_by_tag() == seq_log.issued_counts_by_tag()
+        assert sum(seq_log.issued_counts_by_tag().values()) == seq_posts
+        issued = sum(sum(r.llm_calls_issued_by_tag.values()) for r in sequential.records)
+        logical = sum(sum(r.llm_calls_by_tag.values()) for r in sequential.records)
+        assert 0 < issued < logical
+
     def test_partition_coverage_checked(self):
         data = _federated(n_clients=3)
         cfg = RunConfig(num_clients=4, rounds=1)
@@ -422,3 +452,31 @@ class TestRun:
         ):
             with pytest.raises(ConfigError):
                 broken.validate()
+
+
+class _SummingSession:
+    """Thread-safe stand-in for ``requests.Session``: every chat completion
+    answers with the sum of the numbers in its user text. Each post yields
+    the GIL first, so client threads interleave their calls."""
+
+    def __init__(self):
+        self.posts = 0
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        time.sleep(0)
+        with self._lock:
+            self.posts += 1
+        total = sum(int(n) for n in re.findall(r"\d+", json["messages"][1]["content"]))
+        return _Answer(f"Adding the items gives {total}. Answer: {total}")
+
+
+class _Answer:
+    status_code = 200
+    text = ""
+
+    def __init__(self, content):
+        self._content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self._content}}]}
