@@ -47,7 +47,7 @@ from fedprompt.tasks import (
     score,
 )
 from fedprompt.templates import Templates, default_templates
-from fedprompt.uid import compare_uniformity, scored_uid_stats, uid_stats
+from fedprompt.uid import SurprisalStats, compare_uniformity, scored_series, uid_stats
 
 CATEGORY_BY_CODE = {
     2: "config",
@@ -439,10 +439,11 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    scored, stats = scored_uid_stats(text, args.context, backend)
+    scored, series = scored_series(text, args.context, backend)
+    stats = SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
     writer = csv.writer(sys.stdout)
     writer.writerow(["token", "logprob_nat", "surprisal_bits"])
-    for token, logprob, surprisal in zip(scored.tokens, scored.logprobs, stats.surprisals):
+    for token, logprob, surprisal in zip(scored.tokens, scored.logprobs, series):
         writer.writerow([token, repr(logprob), repr(surprisal)])
     print(json.dumps(stats.as_dict(), sort_keys=True))
     return 0

@@ -53,16 +53,9 @@ class SurprisalStats:
         }
 
 
-def surprisal_series(text: str, context: str, backend: Backend) -> list[float]:
-    """Per-token surprisal of ``text`` given ``context``, in bits."""
-    return scored_uid_stats(text, context, backend)[1].surprisals
-
-
-def scored_uid_stats(
-    text: str, context: str, backend: Backend
-) -> tuple[TokenLogprobs, SurprisalStats]:
-    """Score ``text`` once: the backend's token log probabilities and their
-    surprisal stats.
+def scored_series(text: str, context: str, backend: Backend) -> tuple[TokenLogprobs, list[float]]:
+    """Score ``text`` once: the backend's token log probabilities and the
+    per-token surprisal of ``text`` given ``context``, in bits.
 
     The backend reports natural-log probabilities; conversion to base 2
     happens here. Adding 0.0 normalizes the -0.0 a certain token would
@@ -71,12 +64,17 @@ def scored_uid_stats(
     if not text.split():
         raise EmptyText("cannot measure surprisal of empty text")
     scored = backend.token_logprobs(context, text)
-    series = [-(lp / _LN2) + 0.0 for lp in scored.logprobs]
-    return scored, SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
+    return scored, [-(lp / _LN2) + 0.0 for lp in scored.logprobs]
+
+
+def surprisal_series(text: str, context: str, backend: Backend) -> list[float]:
+    """Per-token surprisal of ``text`` given ``context``, in bits."""
+    return scored_series(text, context, backend)[1]
 
 
 def uid_stats(text: str, context: str, backend: Backend) -> SurprisalStats:
-    return scored_uid_stats(text, context, backend)[1]
+    series = surprisal_series(text, context, backend)
+    return SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedprompt.backends.base import TokenLogprobs
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.errors import EmptyText
 from fedprompt.uid import SurprisalStats, compare_uniformity, surprisal_series, uid_stats
@@ -87,6 +88,16 @@ class TestSeries:
         backend = NgramBackend("a b", order=1)
         with pytest.raises(EmptyText):
             surprisal_series("   ", context="a", backend=backend)
+
+    def test_series_is_returned_as_scored(self):
+        # The series is the backend's scores in bits, even where no stats can
+        # be taken: a positive logprob (an echo endpoint may report one) and
+        # an empty scoring.
+        backend = NgramBackend("a b", order=1)
+        backend.token_logprobs = lambda context, text: TokenLogprobs(["a"], [math.log(2.0)])
+        assert surprisal_series("a", context="", backend=backend) == [-1.0]
+        backend.token_logprobs = lambda context, text: TokenLogprobs([], [])
+        assert surprisal_series("a", context="", backend=backend) == []
 
     def test_uid_stats_carries_model_id(self):
         backend = NgramBackend("a b a", order=2)
