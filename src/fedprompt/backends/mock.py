@@ -38,10 +38,7 @@ class MockBackend(Backend):
     """
 
     def __init__(self, descriptor: BackendDescriptor | None = None):
-        super().__init__(
-            descriptor
-            or BackendDescriptor(kind="mock", model_id="mock", supports_logprobs=False)
-        )
+        super().__init__(descriptor or BackendDescriptor(kind="mock", model_id="mock"))
         self._exact: dict[tuple[str, str], str] = {}
         self._prefix: dict[str, list[tuple[str, str]]] = {}
         self._rules: list[RuleFn] = []

@@ -25,7 +25,7 @@ from fedprompt.backends.base import (
     TokenLogprobs,
     count_tokens,
 )
-from fedprompt.errors import BackendError, LogprobsUnsupported, TransportFailure
+from fedprompt.errors import BackendError, ContextWindowExceeded, LogprobsUnsupported, TransportFailure
 
 MAX_ATTEMPTS = 5
 
@@ -34,6 +34,14 @@ def request_hash(payload: dict[str, Any]) -> str:
     """Stable content hash of a request payload (canonical JSON, sha256)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _error_code(resp: requests.Response) -> Any:
+    """The ``error.code`` of an OpenAI-style error body, or ``None``."""
+    try:
+        return resp.json()["error"]["code"]
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 class Cassette:
@@ -92,8 +100,9 @@ class RemoteBackend(Backend):
 
     Retries (up to :data:`MAX_ATTEMPTS` total attempts, exponential backoff)
     are for transport failures and HTTP 429 only; other HTTP errors surface
-    immediately. Token scoring uses echo-style completions and requires the
-    descriptor to advertise ``supports_logprobs``.
+    immediately, an HTTP 400 with error code ``context_length_exceeded`` as
+    :class:`ContextWindowExceeded`. Token scoring uses echo-style completions
+    and requires the descriptor to advertise ``supports_logprobs``.
 
     Responses come from one store with two layers. A temperature-0 chat
     request whose exact content was already answered is served from memory
@@ -155,6 +164,8 @@ class RemoteBackend(Backend):
             else:
                 if resp.status_code == 429:
                     last_reason = "HTTP 429 (rate limited)"
+                elif resp.status_code == 400 and _error_code(resp) == "context_length_exceeded":
+                    raise ContextWindowExceeded(f"endpoint found the request for {path} too long: {resp.text[:200]}")
                 elif resp.status_code >= 400:
                     raise BackendError(
                         f"endpoint returned HTTP {resp.status_code} for {path}: {resp.text[:200]}"
@@ -221,8 +232,8 @@ class RemoteBackend(Backend):
         usage = response.get("usage") or {}
         return GenerationResult(
             text=text,
-            prompt_tokens=usage.get("prompt_tokens", request.prompt_token_count()),
-            completion_tokens=usage.get("completion_tokens", count_tokens(text)),
+            prompt_tokens=usage["prompt_tokens"] if "prompt_tokens" in usage else request.prompt_token_count(),
+            completion_tokens=usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(text),
         )
 
     def _exchange_tagged(self, keyed: dict[str, Any], path: str) -> dict[str, Any]:

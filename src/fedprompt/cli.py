@@ -8,9 +8,11 @@ Exit codes: 0 ok, 2 config, 3 backend/transport, 4 context window,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -26,11 +28,7 @@ from fedprompt.aggregation import (
     AggregationInput,
     aggregate,
 )
-from fedprompt.backends.base import (
-    DEFAULT_CONTEXT_WINDOW,
-    Backend,
-    BackendDescriptor,
-)
+from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, Backend, BackendDescriptor
 from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.remote import Cassette, RemoteBackend
@@ -60,65 +58,114 @@ CATEGORY_BY_CODE = {
 _BUNDLED_DATASET = "demo_counting"
 
 
+# -- config values -----------------------------------------------------------------
+
+#: What a config value must be, by the type of the default it replaces.
+_EXPECTED = {
+    bool: "true or false", int: "an integer", float: "a number", str: "a string",
+    type(None): "a string or null", list: "a list", dict: "a JSON object",
+}
+
+
+def _coerce(key: str, value: Any, default: Any) -> Any:
+    """``value`` converted to the type of ``default``, or :class:`ConfigError`.
+
+    Numbers may be written as strings (``"rounds": "2"``) but must keep their
+    value (``2.5`` is no integer); booleans must be JSON booleans; a ``None``
+    default takes a string or null; a list takes a list of as many items as a
+    non-empty default, each coerced to the type of the default's first item
+    (a string for an empty default).
+    """
+    kind = type(default)
+    if kind in (int, float):
+        if not isinstance(value, bool):
+            with contextlib.suppress(TypeError, ValueError, OverflowError):
+                if kind(value) == float(value):
+                    return kind(value)
+    elif kind is list:
+        if isinstance(value, list) and (not default or len(value) == len(default)):
+            return [_coerce(key, item, default[0] if default else "") for item in value]
+    elif kind in (bool, dict):
+        if isinstance(value, kind):
+            return value
+    elif isinstance(value, str) or value is None and default is None:
+        return value
+    raise ConfigError(f"{key} must be {_EXPECTED[kind]}, got {value!r}")
+
+
 # -- backend construction --------------------------------------------------------
 
 
+def _spec_args(spec: dict[str, Any], target: Any, *names: str, **renamed: str) -> dict[str, Any]:
+    """Keyword arguments for ``target`` from the spec keys it takes.
+
+    ``names`` are parameters whose spec key is their own name; ``renamed``
+    maps a parameter to its spec key. A key the spec does not set is left to
+    ``target``'s default; a key it sets is coerced to that default's type (a
+    parameter without a default takes a string).
+    """
+    params = inspect.signature(target).parameters
+    args = {}
+    for name, key in {**{n: n for n in names}, **renamed}.items():
+        if key in spec:
+            default = params[name].default
+            args[name] = _coerce(
+                f"backend.{key}", spec[key], "" if default is inspect.Parameter.empty else default
+            )
+    return args
+
+
+#: Descriptor fields that every generating backend takes from its spec.
+_DESCRIBED = ("model_id", "context_window", "usd_per_1k_prompt_tokens", "usd_per_1k_completion_tokens")
+
+
+def _mock_backend(spec: dict[str, Any]) -> Backend:
+    script = _coerce("backend.script", spec.get("script"), None)
+    if script and not Path(script).exists():
+        raise ConfigError(f"mock script not found: {script}")
+    backend = load_script(script) if script else counting_rule_backend()
+    backend.descriptor = dataclasses.replace(
+        backend.descriptor, **_spec_args(spec, BackendDescriptor, *_DESCRIBED)
+    )
+    return backend
+
+
+def _ngram_backend(spec: dict[str, Any]) -> Backend:
+    corpus = _coerce("backend.corpus", spec.get("corpus"), None)
+    if not corpus:
+        raise ConfigError("ngram backend needs a corpus file")
+    return NgramBackend(_corpus_lines(corpus), **_spec_args(spec, NgramBackend, "order", "alpha"))
+
+
+def _remote_backend(spec: dict[str, Any]) -> Backend:
+    described = _spec_args(spec, BackendDescriptor, "endpoint", "supports_logprobs", *_DESCRIBED)
+    descriptor = BackendDescriptor(**{"kind": "remote", "model_id": "gpt-4", **described})
+    if not descriptor.endpoint:
+        raise ConfigError("remote backend needs an endpoint")
+    cassette = _coerce("backend.cassette", spec.get("cassette"), None)
+    return RemoteBackend(
+        descriptor,
+        cassette=Cassette(cassette, **_spec_args(spec, Cassette, mode="cassette_mode")) if cassette else None,
+        **_spec_args(spec, RemoteBackend, "api_key_env"),
+    )
+
+
+_BUILDERS = {"mock": _mock_backend, "ngram": _ngram_backend, "remote": _remote_backend}
+
+
 def build_backend(spec: dict[str, Any]) -> Backend:
-    """Build a backend from a config-file/flag spec dict."""
-    kind = spec.get("kind", "mock")
-    context_window = int(spec.get("context_window", DEFAULT_CONTEXT_WINDOW))
-    prices = {
-        "usd_per_1k_prompt_tokens": float(spec.get("usd_per_1k_prompt_tokens", 0.0)),
-        "usd_per_1k_completion_tokens": float(spec.get("usd_per_1k_completion_tokens", 0.0)),
-    }
-    if kind == "mock":
-        descriptor = BackendDescriptor(
-            kind="mock",
-            model_id=spec.get("model_id", "mock"),
-            context_window=context_window,
-            **prices,
-        )
-        script = spec.get("script")
-        if script:
-            if not Path(script).exists():
-                raise ConfigError(f"mock script not found: {script}")
-            return load_script(script, descriptor)
-        return counting_rule_backend(descriptor)
-    if kind == "ngram":
-        corpus_path = spec.get("corpus")
-        if not corpus_path:
-            raise ConfigError("ngram backend needs a corpus file")
-        if not Path(corpus_path).exists():
-            raise ConfigError(f"corpus file not found: {corpus_path}")
-        lines = [
-            line for line in Path(corpus_path).read_text(encoding="utf-8").splitlines() if line.strip()
-        ]
-        return NgramBackend(
-            lines,
-            order=int(spec.get("order", 2)),
-            alpha=float(spec.get("alpha", 1.0)),
-        )
-    if kind == "remote":
-        endpoint = spec.get("endpoint")
-        if not endpoint:
-            raise ConfigError("remote backend needs an endpoint")
-        descriptor = BackendDescriptor(
-            kind="remote",
-            model_id=spec.get("model_id", "gpt-4"),
-            endpoint=endpoint,
-            context_window=context_window,
-            supports_logprobs=bool(spec.get("supports_logprobs", False)),
-            **prices,
-        )
-        cassette = None
-        if spec.get("cassette"):
-            cassette = Cassette(spec["cassette"], mode=spec.get("cassette_mode", "replay"))
-        return RemoteBackend(
-            descriptor,
-            api_key_env=spec.get("api_key_env", "FEDPROMPT_API_KEY"),
-            cassette=cassette,
-        )
-    raise ConfigError(f"unknown backend kind: {kind!r}")
+    """Build a backend from a config-file/flag spec dict.
+
+    ``spec["kind"]`` picks the builder. Builders pass their constructors only
+    the keys the spec sets, so every backend default lives in a constructor.
+    """
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ConfigError(f"backend.kind must be one of {', '.join(_BUILDERS)}, got {kind!r}")
+    try:
+        return _BUILDERS[kind](spec)
+    except ValueError as exc:  # a constructor rejected a value of the spec
+        raise ConfigError(f"{kind} backend: {exc}") from exc
 
 
 def _sha256_file(path: Path) -> str:
@@ -137,14 +184,9 @@ def _load_templates(path: str | None) -> tuple[Templates, str | None, str]:
     return default_templates(), None, digest
 
 
-def _load_datasets(
-    paths: list[str],
-    n_clients: int,
-    ratios: tuple[float, float, float],
-    seed: int,
-    heterogeneous: bool,
-) -> tuple[FederatedData, dict[str, str]]:
-    """Load datasets (bundled demo when none given) and build the partition."""
+def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, str]]:
+    """Load the run's datasets (bundled demo when none given) and build the partition."""
+    paths = settings["datasets"]
     hashes: dict[str, str] = {}
     examples: list[TaskExample] = []
     if not paths:
@@ -159,9 +201,12 @@ def _load_datasets(
                 raise ConfigError(f"dataset path not found: {path}")
             hashes[str(p)] = _sha256_file(p)
             examples.extend(load_dataset(p, p.stem))
-    heterogeneous = heterogeneous or len(paths) > 1
     data = build_federated_data(
-        examples, n_clients, ratios=ratios, seed=seed, heterogeneous=heterogeneous
+        examples,
+        settings["num_clients"],
+        ratios=tuple(settings["ratios"]),
+        seed=settings["seed"],
+        heterogeneous=settings["heterogeneous"] or len(paths) > 1,
     )
     return data, hashes
 
@@ -169,85 +214,56 @@ def _load_datasets(
 # -- run subcommand ----------------------------------------------------------------
 
 
+#: Parsed-argument names of ``run`` that are not settings.
+_NOT_SETTINGS = ("command", "config", "func")
+
+
+def _read_config(path_text: str) -> dict[str, Any]:
+    path = Path(path_text)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path_text}")
+    try:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if isinstance(raw, dict) and isinstance(raw.get("config"), dict) and "artifact_version" in raw:
+        raw = raw["config"]  # a manifest.json doubles as a config file
+    return _coerce("the config file", raw, {})
+
+
 def _resolve_run_settings(args: argparse.Namespace) -> dict[str, Any]:
-    """Merge defaults, config file, and flags (flags win).
+    """Lay the config file, then the flags, over the defaults (flags win).
 
     The keys are the :class:`RunConfig` fields plus the run's inputs and
-    outputs; a config file may set any of them and nothing else.
+    outputs; a config file may set any of them and nothing else. Each flag's
+    dest is the key it sets, ``backend.<key>`` for a key of the backend spec,
+    whose keys merge over the default spec. Every value is coerced to its
+    default's type; an empty or null prompt text means the default text.
     """
-    settings: dict[str, Any] = dataclasses.asdict(RunConfig())
-    settings.update(
-        backend={"kind": "mock"},
-        datasets=[],
-        templates_path=None,
-        output_dir=None,
-        ratios=list(DEFAULT_SPLIT_RATIOS),
-        heterogeneous=False,
-    )
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {args.config}")
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if "config" in raw and isinstance(raw["config"], dict) and "artifact_version" in raw:
-            raw = raw["config"]  # a manifest.json doubles as a config file
-        for key, value in raw.items():
-            if key not in settings:
-                raise ConfigError(f"unknown config key: {key!r}")
-            settings[key] = value
-
-    flag_map = {
-        "clients": "num_clients",
-        "sampling_rate": "sampling_rate",
-        "rounds": "rounds",
-        "local_steps": "local_epochs",
-        "batch_size": "batch_size",
-        "strategy": "strategy",
-        "seed": "seed",
-        "initial_prompt": "initial_prompt",
-        "threshold": "dynamic_threshold",
-        "templates": "templates_path",
-        "out": "output_dir",
+    defaults = {
+        **dataclasses.asdict(RunConfig()), "backend": {"kind": "mock"}, "datasets": [], "templates_path": None,
+        "output_dir": None, "ratios": list(DEFAULT_SPLIT_RATIOS), "heterogeneous": False,
     }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag)
-        if value is not None:
-            settings[key] = value
-    if args.dataset:
-        settings["datasets"] = list(args.dataset)
-    if args.ratios:
-        settings["ratios"] = list(args.ratios)
-    if args.heterogeneous:
-        settings["heterogeneous"] = True
-    if args.non_deterministic:
-        settings["deterministic"] = False
-
-    backend_spec = dict(settings["backend"])
-    for flag, key in (
-        ("backend", "kind"),
-        ("script", "script"),
-        ("endpoint", "endpoint"),
-        ("model", "model_id"),
-        ("context_window", "context_window"),
-        ("cassette", "cassette"),
-        ("cassette_mode", "cassette_mode"),
-        ("api_key_env", "api_key_env"),
-        ("corpus", "corpus"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            backend_spec[key] = value
-    settings["backend"] = backend_spec
+    flags: dict[str, Any] = {}
+    for dest, value in vars(args).items():
+        if value is not None and dest not in _NOT_SETTINGS:
+            section, _, key = dest.rpartition(".")
+            (flags.setdefault(section, {}) if section else flags)[key] = value
+    settings = dict(defaults)
+    for layer in (_read_config(args.config) if args.config else {}, flags):
+        for key, value in layer.items():
+            if key not in defaults:
+                raise ConfigError(f"unknown config key: {key!r}")
+            if key in ("initial_prompt", "final_instruction") and not value:
+                value = defaults[key]
+            value = _coerce(key, value, defaults[key])
+            settings[key] = {**settings[key], **value} if key == "backend" else value
     return settings
 
 
 def _write_run_dir(
     out_dir: Path,
     settings: dict[str, Any],
-    cfg: RunConfig,
     report: RunReport,
     backend: Backend,
     hashes: dict[str, str],
@@ -256,17 +272,11 @@ def _write_run_dir(
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    config_snapshot = dataclasses.asdict(cfg)
-    config_snapshot.update(
-        {
-            "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
-            "datasets": settings["datasets"],
-            "templates_path": settings["templates_path"],
-            "output_dir": str(out_dir),
-            "ratios": settings["ratios"],
-            "heterogeneous": settings["heterogeneous"],
-        }
-    )
+    config_snapshot = {
+        **settings,
+        "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
+        "output_dir": str(out_dir),
+    }
     manifest = {
         "artifact_version": __version__,
         "config": config_snapshot,
@@ -321,47 +331,21 @@ def _write_run_dir(
     )
 
 
-def _run_config(settings: dict[str, Any]) -> RunConfig:
-    """The :class:`RunConfig` fields of ``settings``.
-
-    Numeric and boolean fields are coerced to their default's type, so a
-    config file may write ``"rounds": "2"``. An empty or null prompt text
-    means the default prompt text.
-    """
-    values: dict[str, Any] = {}
-    for f in dataclasses.fields(RunConfig):
-        value = settings[f.name]
-        if f.name in ("initial_prompt", "final_instruction") and not value:
-            value = f.default
-        elif type(f.default) in (int, float, bool):
-            value = type(f.default)(value)
-        values[f.name] = value
-    return RunConfig(**values)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     started_at = time.time()
     settings = _resolve_run_settings(args)
-    cfg = _run_config(settings)
+    cfg = RunConfig(**{f.name: settings[f.name] for f in dataclasses.fields(RunConfig)})
     cfg.validate()
 
     templates, templates_path, templates_hash = _load_templates(settings["templates_path"])
     settings["templates_path"] = templates_path
-    data, hashes = _load_datasets(
-        settings["datasets"],
-        cfg.num_clients,
-        tuple(settings["ratios"]),
-        cfg.seed,
-        settings["heterogeneous"],
-    )
+    data, hashes = _load_datasets(settings)
     backend = build_backend(settings["backend"])
 
     report = run(cfg, data, backend, templates)
 
     out_dir = Path(settings["output_dir"] or f"runs/run-s{cfg.seed}-{cfg.strategy}")
-    _write_run_dir(
-        out_dir, settings, cfg, report, backend, hashes, templates_hash, started_at
-    )
+    _write_run_dir(out_dir, settings, report, backend, hashes, templates_hash, started_at)
     print(
         f"rounds={len(report.records)} "
         f"best_val_accuracy={report.best_val_accuracy:.4f} "
@@ -401,7 +385,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.strategy == "dynamic":
         print(f"dynamic: {merged.producer} branch used", file=sys.stderr)
     if args.stats:
-        oracle = NgramBackend(texts, order=2, alpha=1.0)
+        oracle = NgramBackend(texts)
         stats = uid_stats(merged.text, "", oracle)
         payload = {"tokens": {"merged": len(merged.text.split()), "inputs": [len(t.split()) for t in texts]}}
         payload.update(stats.as_dict())
@@ -419,12 +403,15 @@ def _read_text_file(path: str, what: str) -> str:
     return p.read_text(encoding="utf-8").strip()
 
 
+def _corpus_lines(path: str) -> list[str]:
+    """The non-blank lines of a corpus file, one training sequence each."""
+    return [line for line in _read_text_file(path, "corpus").splitlines() if line.strip()]
+
+
 def cmd_surprisal(args: argparse.Namespace) -> int:
     text = _read_text_file(args.text, "text")
-    corpus_lines = [
-        line for line in _read_text_file(args.corpus, "corpus").splitlines() if line.strip()
-    ]
-    backend = NgramBackend(corpus_lines, order=args.order, alpha=args.alpha)
+    spec = {key: getattr(args, key) for key in ("corpus", "order", "alpha")}
+    backend = build_backend({"kind": "ngram", **{k: v for k, v in spec.items() if v is not None}})
     if args.compare:
         other = _read_text_file(args.compare, "comparison text")
         report = compare_uniformity(text, other, args.context, backend)
@@ -478,30 +465,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a federated optimization run")
     p_run.add_argument("--config", help="JSON config file (flags override it)")
-    p_run.add_argument("--clients", type=int, help="number of clients N")
-    p_run.add_argument("--sampling-rate", type=float, dest="sampling_rate", help="client sampling rate C in (0,1]")
+    p_run.add_argument("--clients", type=int, dest="num_clients", help="number of clients N")
+    p_run.add_argument("--sampling-rate", type=float, help="client sampling rate C in (0,1]")
     p_run.add_argument("--rounds", type=int, help="number of rounds T")
-    p_run.add_argument("--batch-size", type=int, dest="batch_size", help="local batch size B")
-    p_run.add_argument("--local-steps", type=int, dest="local_steps", help="local epochs E")
+    p_run.add_argument("--batch-size", type=int, help="local batch size B")
+    p_run.add_argument("--local-steps", type=int, dest="local_epochs", help="local epochs E")
     p_run.add_argument("--strategy", choices=STRATEGY_IDS, help="aggregation strategy")
     p_run.add_argument("--seed", type=int, help="run seed")
-    p_run.add_argument("--backend", choices=("mock", "ngram", "remote"), help="backend kind")
-    p_run.add_argument("--script", help="mock backend script file")
-    p_run.add_argument("--corpus", help="ngram backend corpus file")
-    p_run.add_argument("--endpoint", help="remote backend base URL")
-    p_run.add_argument("--model", help="remote model id")
-    p_run.add_argument("--context-window", type=int, dest="context_window", help="context window tokens")
-    p_run.add_argument("--cassette", help="record/replay cassette path")
-    p_run.add_argument("--cassette-mode", choices=("record", "replay"), dest="cassette_mode")
-    p_run.add_argument("--api-key-env", dest="api_key_env", help="env var holding the API key")
-    p_run.add_argument("--dataset", action="append", help="task JSONL path (repeatable)")
+    p_run.add_argument("--backend", choices=tuple(_BUILDERS), dest="backend.kind", help="backend kind")
+    p_run.add_argument("--script", dest="backend.script", help="mock backend script file")
+    p_run.add_argument("--corpus", dest="backend.corpus", help="ngram backend corpus file")
+    p_run.add_argument("--endpoint", dest="backend.endpoint", help="remote backend base URL")
+    p_run.add_argument("--model", dest="backend.model_id", help="remote model id")
+    p_run.add_argument("--context-window", type=int, dest="backend.context_window", help="context window tokens")
+    p_run.add_argument("--cassette", dest="backend.cassette", help="record/replay cassette path")
+    p_run.add_argument("--cassette-mode", choices=("record", "replay"), dest="backend.cassette_mode")
+    p_run.add_argument("--api-key-env", dest="backend.api_key_env", help="env var holding the API key")
+    p_run.add_argument("--dataset", action="append", dest="datasets", help="task JSONL path (repeatable)")
     p_run.add_argument("--ratios", type=float, nargs=3, metavar=("TRAIN", "VAL", "TEST"))
-    p_run.add_argument("--heterogeneous", action="store_true", help="one task per client")
-    p_run.add_argument("--templates", help="template JSON file")
-    p_run.add_argument("--initial-prompt", dest="initial_prompt", help="override the initial prompt")
-    p_run.add_argument("--threshold", type=int, help="dynamic strategy token threshold")
-    p_run.add_argument("--out", help="run directory")
-    p_run.add_argument("--non-deterministic", action="store_true", dest="non_deterministic", help="run sampled clients concurrently")
+    p_run.add_argument("--heterogeneous", action="store_const", const=True, help="one task per client")
+    p_run.add_argument("--templates", dest="templates_path", help="template JSON file")
+    p_run.add_argument("--initial-prompt", help="override the initial prompt")
+    p_run.add_argument("--threshold", type=int, dest="dynamic_threshold", help="dynamic strategy token threshold")
+    p_run.add_argument("--out", dest="output_dir", help="run directory")
+    p_run.add_argument("--non-deterministic", action="store_const", const=False, dest="deterministic",
+                       help="run sampled clients concurrently")
     p_run.set_defaults(func=cmd_run)
 
     p_agg = sub.add_parser("aggregate", help="aggregate prompt files with a strategy")
@@ -521,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sur.add_argument("--text", required=True, help="text file to measure")
     p_sur.add_argument("--corpus", required=True, help="oracle training corpus (one sequence per line)")
     p_sur.add_argument("--compare", help="second text file; prints the variance ordering instead of CSV")
-    p_sur.add_argument("--order", type=int, default=2)
-    p_sur.add_argument("--alpha", type=float, default=1.0)
+    p_sur.add_argument("--order", type=int)
+    p_sur.add_argument("--alpha", type=float)
     p_sur.add_argument("--context", default="", help="conditioning context prepended before scoring")
     p_sur.set_defaults(func=cmd_surprisal)
 

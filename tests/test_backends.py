@@ -27,6 +27,7 @@ from fedprompt.backends.remote import Cassette, RemoteBackend, request_hash
 from fedprompt.errors import (
     BackendError,
     ContextWindowExceeded,
+    FedPromptError,
     LogprobsUnsupported,
     NoScriptMatch,
     TransportFailure,
@@ -415,6 +416,42 @@ class TestRemoteBackend:
         with pytest.raises(BackendError):
             backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
         assert len(session.calls) == 1
+
+    def test_context_length_error_is_context_window_exceeded(self):
+        def rejected(code):
+            body = {"error": {"code": code, "message": "rejected"}}
+            session = _FakeSession([_FakeResponse(400, body, text=json.dumps(body))])
+            with pytest.raises(FedPromptError) as err:
+                _remote(session).generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
+            assert len(session.calls) == 1  # not retried
+            return type(err.value)
+
+        assert rejected("context_length_exceeded") is ContextWindowExceeded
+        assert rejected("invalid_request_error") is BackendError
+
+    def test_reported_usage_is_not_recounted(self, monkeypatch):
+        from fedprompt.backends import base, remote
+
+        counted = []
+
+        def counting(text):
+            counted.append(text)
+            return count_tokens(text)
+
+        monkeypatch.setattr(base, "count_tokens", counting)
+        monkeypatch.setattr(remote, "count_tokens", counting)
+        request = GenerationRequest(tag="forward", system_text="sys text", user_text="hi there you")
+        session = _FakeSession([_FakeResponse(200, _chat_payload("a b c", 7, 2))])
+        result = _remote(session).generate(request)
+        assert (result.prompt_tokens, result.completion_tokens) == (7, 2)
+        # only the context-window check counts; the endpoint reported usage
+        assert counted == ["sys text", "hi there you"]
+
+        counted.clear()
+        unreported = {"choices": [{"message": {"content": "a b c"}}]}
+        result = _remote(_FakeSession([_FakeResponse(200, unreported)])).generate(request)
+        assert (result.prompt_tokens, result.completion_tokens) == (5, 3)
+        assert counted == ["sys text", "hi there you", "sys text", "hi there you", "a b c"]
 
     def test_logprobs_gated_by_descriptor(self):
         backend = _remote(_FakeSession([]), supports_logprobs=False)

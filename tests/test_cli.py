@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import math
@@ -9,7 +10,8 @@ import pytest
 
 from fedprompt.backends import remote
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.cli import main
+from fedprompt.cli import _resolve_run_settings, build_backend, build_parser, main
+from fedprompt.errors import ConfigError
 from fedprompt.runtime import RunConfig
 from tests.conftest import FINAL_INSTRUCTION, make_counting_rows, write_jsonl
 
@@ -49,6 +51,24 @@ class _AnswerSession:
 
     def json(self):
         return {"choices": [{"message": {"content": _ANSWER}}]}
+
+
+class _ContextLengthSession(_AnswerSession):
+    """Rejects every request as too long for the model's context."""
+
+    status_code = 400
+    text = '{"error": {"code": "context_length_exceeded"}}'
+
+    def json(self):
+        return json.loads(self.text)
+
+
+_ENDPOINT = "http://127.0.0.1:9/v1"
+
+
+def _run_actions() -> list[argparse.Action]:
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subcommands.choices["run"]._actions
 
 
 def _error_payload(capsys) -> dict:
@@ -243,6 +263,76 @@ class TestRunCommand:
         assert payload["category"] == "backend"
         assert "no response left" in payload["message"]
 
+    def _config_run(self, tmp_path: Path, **config) -> int:
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps(
+                {"datasets": [str(_dataset(tmp_path))], "num_clients": 2, "local_epochs": 1,
+                 "batch_size": 2, **config}
+            )
+        )
+        return main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"rounds": "two"}, "rounds"),
+            ({"backend": {"kind": "mock", "context_window": "big"}}, "backend.context_window"),
+        ],
+        ids=["run-config-field", "backend-field"],
+    )
+    def test_malformed_number_exits_config(self, tmp_path, capsys, config, key):
+        assert self._config_run(tmp_path, **config) == 2
+        payload = _error_payload(capsys)
+        assert payload["category"] == "config"
+        assert payload["message"].startswith(f"{key} must be an integer")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"deterministic": "false"},
+            {"heterogeneous": "false"},
+            {"backend": {"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": "false"}},
+        ],
+        ids=["deterministic", "heterogeneous", "backend.supports_logprobs"],
+    )
+    def test_string_booleans_exit_config(self, tmp_path, capsys, monkeypatch, config):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        assert self._config_run(tmp_path, **config) == 2
+        payload = _error_payload(capsys)
+        assert payload["category"] == "config"
+        assert "must be true or false" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"rounds": 2.5},
+            {"rounds": True},
+            {"sampling_rate": None},
+            {"ratios": [0.5, 0.5]},
+            {"backend": "mock"},
+            {"backend": {"kind": "mock", "context_window": 0}},
+        ],
+        ids=["fraction-as-int", "bool-as-int", "null-number", "two-ratios", "backend-not-object", "zero-window"],
+    )
+    def test_mistyped_values_exit_config(self, tmp_path, capsys, config):
+        assert self._config_run(tmp_path, **config) == 2
+        assert _error_payload(capsys)["category"] == "config"
+
+    def test_config_file_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[1, 2]")
+        assert main(["run", "--config", str(config)]) == 2
+        assert _error_payload(capsys)["category"] == "config"
+
+    def test_endpoint_context_length_error_exits_context_window(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(remote.requests, "Session", _ContextLengthSession)
+        out = tmp_path / "out"
+        code = main(_run_args(_dataset(tmp_path), out, backend="remote", endpoint=_ENDPOINT))
+        assert code == 4
+        assert _error_payload(capsys)["category"] == "context-window"
+        assert not out.exists()
 
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
@@ -429,3 +519,56 @@ class TestParser:
     def test_run_strategy_choices_enforced(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "--strategy", "majority"])
+
+    def test_every_run_flag_writes_a_settings_key(self, tmp_path):
+        settings = _resolve_run_settings(build_parser().parse_args(["run"]))
+        dests = [a.dest for a in _run_actions() if a.dest not in ("config", "help")]
+        backend_keys = [d.removeprefix("backend.") for d in dests if d.startswith("backend.")]
+        assert [d for d in dests if d not in settings and not d.startswith("backend.")] == []
+        assert backend_keys
+        # a backend key has a home when some builder reads it: a value that
+        # fits no type is then a config error naming the key
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\n")
+        base = {"endpoint": _ENDPOINT, "corpus": str(corpus), "cassette": str(tmp_path / "c.jsonl"),
+                "cassette_mode": "record"}
+        kinds = next(a.choices for a in _run_actions() if a.dest == "backend.kind")
+        for key in backend_keys:
+            named = False
+            for kind in kinds:
+                try:
+                    build_backend({**base, "kind": kind, key: [1]})
+                except ConfigError as exc:
+                    named = named or str(exc).startswith(f"backend.{key} ")
+            assert named, f"no backend builder reads backend.{key}"
+
+    def test_backend_flags_and_config_keys_give_equal_manifests(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        values = {
+            "kind": "remote",
+            "endpoint": _ENDPOINT,
+            "model_id": "answer-model",
+            "context_window": 4096,
+            "cassette": str(tmp_path / "cassette.jsonl"),
+            "cassette_mode": "record",
+            "api_key_env": "ANSWER_KEY",
+            "script": str(tmp_path / "unread-script.json"),
+            "corpus": str(tmp_path / "unread-corpus.txt"),
+        }
+        flags = []
+        for action in _run_actions():
+            if action.dest.startswith("backend."):
+                flags += [action.option_strings[0], str(values[action.dest.removeprefix("backend.")])]
+        assert len(flags) == 2 * len(values)
+        dataset = _dataset(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"backend": values}))
+        assert main([*_run_args(dataset, tmp_path / "flags"), *flags]) == 0
+        assert main([*_run_args(dataset, tmp_path / "file"), "--config", str(config)]) == 0
+        manifests = [json.loads((tmp_path / out / "manifest.json").read_text()) for out in ("flags", "file")]
+        for manifest in manifests:
+            del manifest["started_at"], manifest["finished_at"], manifest["config"]["output_dir"]
+        assert manifests[0] == manifests[1]
+        assert manifests[0]["config"]["backend"] == values
+        descriptor = manifests[0]["backend_descriptor"]
+        assert (descriptor["model_id"], descriptor["context_window"]) == ("answer-model", 4096)
