@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -24,6 +25,7 @@ from fedprompt.backends.base import (
     GenerationResult,
     TokenLogprobs,
     count_tokens,
+    ordered_write,
 )
 from fedprompt.errors import BackendError, ContextWindowExceeded, LogprobsUnsupported, TransportFailure
 
@@ -34,6 +36,15 @@ def request_hash(payload: dict[str, Any]) -> str:
     """Stable content hash of a request payload (canonical JSON, sha256)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _retry_after(resp: requests.Response) -> float | None:
+    """The ``Retry-After`` header in seconds, or ``None`` if absent or a date."""
+    try:
+        seconds = float(resp.headers.get("Retry-After"))
+    except (TypeError, ValueError):
+        return None
+    return seconds if 0 <= seconds < math.inf else None
 
 
 def _error_code(resp: requests.Response) -> Any:
@@ -47,7 +58,8 @@ def _error_code(resp: requests.Response) -> Any:
 class Cassette:
     """JSONL request/response store.
 
-    ``mode="record"`` appends every live exchange; ``mode="replay"`` serves
+    ``mode="record"`` appends every live exchange, in program order (see
+    :func:`~fedprompt.backends.base.ordered_write`); ``mode="replay"`` serves
     stored responses by request hash, each once and in recorded order, and
     never touches the network. Each line is ``{"request_hash", "request",
     "response", "timestamp"}``.
@@ -81,7 +93,9 @@ class Cassette:
             "response": response,
             "timestamp": time.time(),
         }
-        line = json.dumps(entry) + "\n"
+        ordered_write(self._append_line, json.dumps(entry) + "\n")
+
+    def _append_line(self, line: str) -> None:
         with self._write_lock, self.path.open("a", encoding="utf-8") as fh:
             fh.write(line)
 
@@ -98,8 +112,9 @@ class Cassette:
 class RemoteBackend(Backend):
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Retries (up to :data:`MAX_ATTEMPTS` total attempts, exponential backoff)
-    are for transport failures and HTTP 429 only; other HTTP errors surface
+    Retries (up to :data:`MAX_ATTEMPTS` total attempts, exponential backoff,
+    or a 429's ``Retry-After`` seconds when it gives them) are for transport
+    failures and HTTP 429 only; other HTTP errors surface
     immediately, an HTTP 400 with error code ``context_length_exceeded`` as
     :class:`ContextWindowExceeded`. Token scoring uses echo-style completions
     and requires the descriptor to advertise ``supports_logprobs``.
@@ -110,6 +125,9 @@ class RemoteBackend(Backend):
     the cassette (replay) or the endpoint. Concurrent identical greedy
     requests wait for the first one instead of issuing their own, and a
     failed request stores nothing, so a waiter then tries it itself.
+
+    An injected ``session`` is shared by every thread; without one, each
+    thread gets its own ``requests.Session``, which is not thread-safe.
     """
 
     def __init__(
@@ -129,7 +147,8 @@ class RemoteBackend(Backend):
         super().__init__(descriptor)
         self.api_key_env = api_key_env
         self.cassette = cassette
-        self.session = session or requests.Session()
+        self._shared_session = session
+        self._local = threading.local()
         self.backoff_base = backoff_base
         self.sleep = sleep
         self.timeout = timeout
@@ -138,6 +157,15 @@ class RemoteBackend(Backend):
         self._memo_changed = threading.Condition(threading.Lock())
 
     # -- HTTP plumbing ---------------------------------------------------------
+
+    @property
+    def session(self) -> requests.Session:
+        if self._shared_session is not None:
+            return self._shared_session
+        session = getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
+        return session
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -152,6 +180,7 @@ class RemoteBackend(Backend):
     def _post_with_retries(self, path: str, payload: dict[str, Any]) -> dict[str, Any]:
         last_reason = "unknown"
         for attempt in range(1, MAX_ATTEMPTS + 1):
+            wait = None
             try:
                 resp = self.session.post(
                     self._url(path),
@@ -164,6 +193,7 @@ class RemoteBackend(Backend):
             else:
                 if resp.status_code == 429:
                     last_reason = "HTTP 429 (rate limited)"
+                    wait = _retry_after(resp)
                 elif resp.status_code == 400 and _error_code(resp) == "context_length_exceeded":
                     raise ContextWindowExceeded(f"endpoint found the request for {path} too long: {resp.text[:200]}")
                 elif resp.status_code >= 400:
@@ -176,7 +206,7 @@ class RemoteBackend(Backend):
                     except ValueError as exc:
                         raise BackendError(f"endpoint returned non-JSON body: {exc}") from exc
             if attempt < MAX_ATTEMPTS:
-                self.sleep(self.backoff_base * 2 ** (attempt - 1))
+                self.sleep(self.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
         raise TransportFailure(
             f"giving up on {path} after {MAX_ATTEMPTS} attempts ({last_reason})",
             attempts=MAX_ATTEMPTS,

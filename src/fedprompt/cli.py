@@ -201,13 +201,16 @@ def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, s
                 raise ConfigError(f"dataset path not found: {path}")
             hashes[str(p)] = _sha256_file(p)
             examples.extend(load_dataset(p, p.stem))
-    data = build_federated_data(
-        examples,
-        settings["num_clients"],
-        ratios=tuple(settings["ratios"]),
-        seed=settings["seed"],
-        heterogeneous=settings["heterogeneous"] or len(paths) > 1,
-    )
+    try:
+        data = build_federated_data(
+            examples,
+            settings["num_clients"],
+            ratios=tuple(settings["ratios"]),
+            seed=settings["seed"],
+            heterogeneous=settings["heterogeneous"] or len(paths) > 1,
+        )
+    except ValueError as exc:  # the split rejected the ratios
+        raise ConfigError(str(exc)) from exc
     return data, hashes
 
 
@@ -488,8 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--initial-prompt", help="override the initial prompt")
     p_run.add_argument("--threshold", type=int, dest="dynamic_threshold", help="dynamic strategy token threshold")
     p_run.add_argument("--out", dest="output_dir", help="run directory")
-    p_run.add_argument("--non-deterministic", action="store_const", const=False, dest="deterministic",
-                       help="run sampled clients concurrently")
     p_run.set_defaults(func=cmd_run)
 
     p_agg = sub.add_parser("aggregate", help="aggregate prompt files with a strategy")

@@ -5,8 +5,8 @@ validation-based selection of the best global prompt."""
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from random import Random
 
 from fedprompt.aggregation import (
@@ -37,7 +37,6 @@ class RunConfig:
     batch_size: int = 3
     strategy: str = "concat"
     seed: int = 0
-    deterministic: bool = True
     initial_prompt: str = DEFAULT_INITIAL_PROMPT
     final_instruction: str = FINAL_INSTRUCTION
     separator: str = DEFAULT_SEPARATOR
@@ -146,7 +145,9 @@ def client_update(
     Each epoch draws ceil(|partition| / B) batches of size B with replacement.
     Per batch: a forward/evaluate/backward pass per example, one update step,
     then the incumbent and the candidate are both scored on that same batch —
-    the candidate is kept only if it does not score lower.
+    the candidate is kept only if it does not score lower. The per-example
+    passes, and the two scorings, are independent and go through the
+    backend's fan-out.
     """
     templates = templates or default_templates()
     if not client.partition:
@@ -178,32 +179,28 @@ def client_update(
             prompt_var = Variable(
                 current.text, "system prompt for reasoning task", requires_grad=True
             )
-            for ex in batch:
+
+            def criticize(ex: TaskExample) -> list[str]:
+                # its own copy of the prompt variable, so passes may overlap;
+                # the criticisms join in batch order below
+                prompt = Variable(prompt_var.value, prompt_var.role_description, requires_grad=True)
+                example_meta = {**meta, "example_id": ex.id}
                 query_var = Variable(ex.question, "query to be answered")
-                response = forward_response(
-                    prompt_var, query_var, backend, metadata={**meta, "example_id": ex.id}
-                )
+                response = forward_response(prompt, query_var, backend, metadata=example_meta)
                 evaluation = evaluate(
-                    response,
-                    ex.answer,
-                    templates.evaluation_instruction,
-                    backend,
-                    metadata={**meta, "example_id": ex.id},
+                    response, ex.answer, templates.evaluation_instruction, backend, metadata=example_meta
                 )
-                backward(
-                    evaluation, backend, templates, metadata={**meta, "example_id": ex.id}
-                )
+                backward(evaluation, backend, templates, metadata=example_meta)
+                return prompt.gradients
+
+            for gradients in backend.fan_out.gather([partial(criticize, ex) for ex in batch]):
+                prompt_var.gradients.extend(gradients)
             candidate_var = tgd_step(prompt_var, backend, templates, metadata=meta)
 
-            incumbent = score(
-                current.text, batch, backend, metadata={**meta, "phase": "acceptance_pre"}
-            )
-            candidate = score(
-                candidate_var.value,
-                batch,
-                backend,
-                metadata={**meta, "phase": "acceptance_post"},
-            )
+            incumbent, candidate = backend.fan_out.gather([
+                partial(score, current.text, batch, backend, metadata={**meta, "phase": "acceptance_pre"}),
+                partial(score, candidate_var.value, batch, backend, metadata={**meta, "phase": "acceptance_post"}),
+            ])
             accepted = candidate.accuracy >= incumbent.accuracy
             if accepted:
                 current = PromptState(
@@ -258,12 +255,7 @@ def server_round(
         )
 
     # barrier: every sampled client must return before any aggregation
-    if cfg.deterministic:
-        results = {cid: update(cid) for cid in sampled}
-    else:
-        with ThreadPoolExecutor(max_workers=len(sampled)) as pool:
-            futures = {cid: pool.submit(update, cid) for cid in sampled}
-            results = {cid: futures[cid].result() for cid in sampled}
+    results = dict(zip(sampled, backend.fan_out.gather([partial(update, cid) for cid in sampled])))
 
     agg_input = AggregationInput(
         prompts=[(cid, results[cid].prompt) for cid in sampled],
@@ -350,20 +342,23 @@ def run(
         0: {"global": server.global_prompt}
     }
     all_decisions: list[BatchDecision] = []
-    for _ in range(cfg.rounds):
-        record, snapshots, decisions = server_round(
-            server, clients, cfg, backend, data.val, templates
-        )
-        records.append(record)
-        prompt_history[server.round] = snapshots
-        all_decisions.extend(decisions)
+    try:
+        for _ in range(cfg.rounds):
+            record, snapshots, decisions = server_round(
+                server, clients, cfg, backend, data.val, templates
+            )
+            records.append(record)
+            prompt_history[server.round] = snapshots
+            all_decisions.extend(decisions)
 
-    assert server.best_prompt is not None and server.best_val_score is not None
-    cost_before_test = backend.call_log.total_cost_usd()
-    test_report = score(
-        server.best_prompt.text, data.test, backend, metadata={"phase": "test"}
-    )
-    final_test_cost = backend.call_log.total_cost_usd() - cost_before_test
+        assert server.best_prompt is not None and server.best_val_score is not None
+        cost_before_test = backend.call_log.total_cost_usd()
+        test_report = score(
+            server.best_prompt.text, data.test, backend, metadata={"phase": "test"}
+        )
+        final_test_cost = backend.call_log.total_cost_usd() - cost_before_test
+    finally:
+        backend.fan_out.close()  # no worker thread outlives the run
 
     return RunReport(
         best_prompt=server.best_prompt,

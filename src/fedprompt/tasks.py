@@ -7,6 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable
@@ -281,29 +282,32 @@ def score(
 ) -> ScoreReport:
     """Exact-match accuracy of a prompt over examples.
 
-    Issues one greedy forward call per example. Extraction failures count as
-    incorrect and are tallied separately.
+    Issues one greedy forward call per example, through the backend's
+    fan-out. Extraction failures count as incorrect and are tallied
+    separately.
     """
     if not examples:
         raise ValueError("score needs at least one example")
     prompt_text = getattr(prompt, "text", prompt)
-    records: list[ScoreRecord] = []
-    parse_failures = 0
-    for ex in examples:
-        meta = dict(metadata or {})
-        meta["example_id"] = ex.id
-        result = backend.generate(
+
+    def answer(ex: TaskExample) -> str:
+        return backend.generate(
             GenerationRequest(
                 tag="forward",
                 system_text=prompt_text,
                 user_text=ex.question,
                 temperature=0.0,
-                metadata=meta,
+                metadata={**(metadata or {}), "example_id": ex.id},
             )
-        )
+        ).text
+
+    responses = backend.fan_out.gather([partial(answer, ex) for ex in examples])
+    records: list[ScoreRecord] = []
+    parse_failures = 0
+    for ex, response in zip(examples, responses):
         expected = normalize_answer(ex.answer)
         try:
-            extracted = extract_answer(result.text)
+            extracted = extract_answer(response)
         except ExtractionFailure:
             parse_failures += 1
             records.append(ScoreRecord(ex.id, expected, None, False))

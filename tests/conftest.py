@@ -1,18 +1,25 @@
 from __future__ import annotations
 
 import json
+import random
 import re
+import threading
+import time
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from fedprompt.backends.base import GenerationRequest
 from fedprompt.backends.mock import MockBackend
 from fedprompt.backends.rules import (
     counting_rule_backend,
     evaluation_rule,
+    forward_rule,
     gradient_prompt_rule,
     gradient_response_rule,
+    summarize_rule,
+    tgd_rule,
 )
 from fedprompt.tasks import TaskExample, build_federated_data, load_dataset
 
@@ -117,3 +124,70 @@ def alternating_backend() -> MockBackend:
     backend.add_rule(gradient_response_rule)
     backend.add_rule(gradient_prompt_rule)
     return backend
+
+
+#: Fixed openings of the bundled templates that go out without a system text;
+#: a request with a system text is a forward call, anything else is a judge call.
+_TAG_BY_OPENING = (
+    ("Below are the criticisms on", "tgd_step"),
+    ("Merge the following", "aggregation_summarize"),
+    ("The system prompt below produced", "gradient_prompt"),
+    ("Here is a response:", "gradient_response"),
+)
+
+COUNTING_RULES = (
+    forward_rule, evaluation_rule, gradient_response_rule, gradient_prompt_rule, tgd_rule, summarize_rule,
+)
+
+
+def chat_request(payload: dict) -> GenerationRequest:
+    """The tagged request a chat-completions payload was built from."""
+    texts = {m["role"]: m["content"] for m in payload["messages"]}
+    system, user = texts.get("system", ""), texts["user"]
+    tag = "forward" if system else next(
+        (tag for opening, tag in _TAG_BY_OPENING if user.startswith(opening)), "evaluation"
+    )
+    return GenerationRequest(tag=tag, system_text=system, user_text=user, temperature=payload["temperature"])
+
+
+class ChatResponse:
+    status_code = 200
+    text = ""
+    headers: dict = {}
+
+    def __init__(self, content: str):
+        self._content = content
+
+    def json(self):
+        return {"choices": [{"message": {"content": self._content}}]}
+
+
+class LatencySession:
+    """Thread-safe stand-in for ``requests.Session`` that answers chat
+    completions with rule functions after sleeping ``delay`` seconds (times a
+    seeded factor in [0.5, 1.5) with ``jitter``), which stands in for a
+    remote model. ``peak`` is the most posts that were in flight at once."""
+
+    def __init__(self, delay: float = 0.0, rules=COUNTING_RULES, jitter: bool = False):
+        self.delay = delay
+        self.rules = rules
+        self.posts = 0
+        self.peak = 0
+        self._in_flight = 0
+        self._jitter = random.Random(0) if jitter else None
+        self._lock = threading.Lock()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        request = chat_request(json)
+        with self._lock:
+            self.posts += 1
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+            delay = self.delay * (0.5 + self._jitter.random()) if self._jitter else self.delay
+        try:
+            if delay:
+                time.sleep(delay)
+            return ChatResponse(next(text for text in (rule(request) for rule in self.rules) if text is not None))
+        finally:
+            with self._lock:
+                self._in_flight -= 1

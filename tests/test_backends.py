@@ -315,14 +315,53 @@ class TestBackendABC:
             backend.token_logprobs("", "text")
 
 
+_SOME_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
+
+
+class TestContextWindowPrecheck:
+    class _Fixed(Backend):
+        def _generate(self, request):
+            return GenerationResult("ok", 1, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        system=st.text(alphabet=st.sampled_from("ab" + _SOME_WHITESPACE), max_size=40),
+        user=st.text(alphabet=st.sampled_from("xy" + _SOME_WHITESPACE), max_size=40),
+        budget=st.integers(min_value=1, max_value=45),
+    )
+    def test_decision_equals_the_exact_count(self, system, user, budget):
+        backend = self._Fixed(BackendDescriptor(kind="mock", model_id="m", context_window=budget))
+        request = GenerationRequest(tag="forward", system_text=system, user_text=user)
+        needed = len(system.split()) + len(user.split())
+        if needed > budget:
+            with pytest.raises(ContextWindowExceeded) as err:
+                backend.generate(request)
+            assert (err.value.needed, err.value.budget) == (needed, budget)
+            assert len(backend.call_log) == 0
+        else:
+            assert backend.generate(request).text == "ok"
+            assert len(backend.call_log) == 1
+
+    def test_short_texts_are_not_split(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(GenerationRequest, "prompt_token_count", lambda self: calls.append(1) or 0)
+        # bounds: "a b" holds at most 2 tokens, "c d e" 3, "c d e f" 4
+        backend = self._Fixed(BackendDescriptor(kind="mock", model_id="m", context_window=5))
+        backend.generate(GenerationRequest(tag="forward", system_text="a b", user_text="c d e"))
+        assert calls == []
+        backend.generate(GenerationRequest(tag="forward", system_text="a b", user_text="c d e f"))
+        assert calls == [1]
+
+
 # -- remote backend ----------------------------------------------------------------
 
 
 class _FakeResponse:
-    def __init__(self, status_code=200, payload=None, text=""):
+    def __init__(self, status_code=200, payload=None, text="", headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = text
+        self.headers = headers or {}
 
     def json(self):
         if self._payload is None:
@@ -402,6 +441,24 @@ class TestRemoteBackend:
         assert result.text == "finally"
         assert len(session.calls) == 3
 
+    @pytest.mark.parametrize(
+        "retry_after, slept",
+        [("3", [3.0]), ("0.25", [0.25]), (None, [0.5]), ("Wed, 21 Oct 2015 07:28:00 GMT", [0.5]), ("-1", [0.5])],
+        ids=["seconds", "fractional", "absent", "http-date", "negative"],
+    )
+    def test_429_waits_retry_after_seconds(self, retry_after, slept):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        session = _FakeSession(
+            [_FakeResponse(429, text="slow down", headers=headers), _FakeResponse(200, _chat_payload("ok"))]
+        )
+        sleeps = []
+        backend = RemoteBackend(
+            BackendDescriptor(kind="remote", model_id="test-model", endpoint="http://fake.test/v1"),
+            session=session, backoff_base=0.5, sleep=sleeps.append,
+        )
+        assert backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x")).text == "ok"
+        assert sleeps == slept
+
     def test_gives_up_after_max_attempts(self):
         session = _FakeSession([_FakeResponse(429, text="nope")] * 5)
         backend = _remote(session)
@@ -444,14 +501,61 @@ class TestRemoteBackend:
         session = _FakeSession([_FakeResponse(200, _chat_payload("a b c", 7, 2))])
         result = _remote(session).generate(request)
         assert (result.prompt_tokens, result.completion_tokens) == (7, 2)
-        # only the context-window check counts; the endpoint reported usage
-        assert counted == ["sys text", "hi there you"]
+        # the endpoint reported usage, and the request is far inside the
+        # context window, so nothing is counted
+        assert counted == []
 
-        counted.clear()
         unreported = {"choices": [{"message": {"content": "a b c"}}]}
         result = _remote(_FakeSession([_FakeResponse(200, unreported)])).generate(request)
         assert (result.prompt_tokens, result.completion_tokens) == (5, 3)
-        assert counted == ["sys text", "hi there you", "sys text", "hi there you", "a b c"]
+        assert counted == ["sys text", "hi there you", "a b c"]
+
+    def test_each_thread_gets_its_own_session(self, monkeypatch):
+        from fedprompt.backends import remote
+
+        made = []
+
+        class Recording:
+            def __init__(self):
+                self.threads = set()
+                made.append(self)
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.threads.add(threading.get_ident())
+                return _FakeResponse(200, _chat_payload("ok"))
+
+        monkeypatch.setattr(remote.requests, "Session", Recording)
+        backend = _remote(None)
+
+        def call(i):
+            for _ in range(2):
+                backend.generate(GenerationRequest(tag="forward", system_text="", user_text=f"q{i}"))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        call(3)
+        assert len(made) == 4
+        assert all(len(session.threads) == 1 for session in made)
+
+    def test_injected_session_is_shared_by_threads(self):
+        session = _SlowSession()
+        backend = _remote(session)
+        threads = [
+            threading.Thread(
+                target=backend.generate,
+                args=(GenerationRequest(tag="forward", system_text="", user_text=f"q{i}"),),
+            )
+            for i in range(3)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert session.posts == 3
+        assert backend.session is session
 
     def test_logprobs_gated_by_descriptor(self):
         backend = _remote(_FakeSession([]), supports_logprobs=False)

@@ -289,20 +289,49 @@ class TestRunCommand:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "config",
+        "config, message",
         [
-            {"deterministic": "false"},
-            {"heterogeneous": "false"},
-            {"backend": {"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": "false"}},
+            # the key is gone: concurrency is no longer a setting
+            ({"deterministic": "false"}, "unknown config key: 'deterministic'"),
+            ({"heterogeneous": "false"}, "must be true or false"),
+            (
+                {"backend": {"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": "false"}},
+                "must be true or false",
+            ),
         ],
         ids=["deterministic", "heterogeneous", "backend.supports_logprobs"],
     )
-    def test_string_booleans_exit_config(self, tmp_path, capsys, monkeypatch, config):
+    def test_string_booleans_exit_config(self, tmp_path, capsys, monkeypatch, config, message):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
         assert self._config_run(tmp_path, **config) == 2
         payload = _error_payload(capsys)
         assert payload["category"] == "config"
-        assert "must be true or false" in payload["message"]
+        assert message in payload["message"]
+
+    def test_manifest_with_the_removed_deterministic_key_exits_config(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(_run_args(_dataset(tmp_path), out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["config"]["deterministic"] = True
+        old = tmp_path / "old-manifest.json"
+        old.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["run", "--config", str(old), "--out", str(tmp_path / "again")]) == 2
+        assert _error_payload(capsys)["message"] == "unknown config key: 'deterministic'"
+
+    @pytest.mark.parametrize("source", ["flags", "config-file"])
+    @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.5], [1.2, -0.1, -0.1]], ids=["sum-1.5", "negative"])
+    def test_bad_ratios_exit_config(self, tmp_path, capsys, source, ratios):
+        if source == "flags":
+            argv = _run_args(_dataset(tmp_path), tmp_path / "out")
+            code = main([*argv, "--ratios", *map(str, ratios)])
+        else:
+            code = self._config_run(tmp_path, ratios=ratios)
+        assert code == 2
+        payload = _error_payload(capsys)
+        assert payload["category"] == "config"
+        assert payload["message"].startswith("ratios must be positive and sum to 1")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "config",

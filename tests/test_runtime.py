@@ -1,8 +1,6 @@
 from __future__ import annotations
 
 import re
-import threading
-import time
 from fractions import Fraction
 from random import Random
 
@@ -18,8 +16,6 @@ from fedprompt.backends.rules import (
     forward_rule,
     gradient_prompt_rule,
     gradient_response_rule,
-    summarize_rule,
-    tgd_rule,
 )
 from fedprompt.errors import (
     ConfigError,
@@ -38,7 +34,7 @@ from fedprompt.runtime import (
     server_round,
 )
 from fedprompt.tasks import FederatedData, Partition, exact_fraction
-from tests.conftest import FINAL_INSTRUCTION, alternating_backend, make_examples
+from tests.conftest import FINAL_INSTRUCTION, LatencySession, alternating_backend, make_examples
 
 
 def stamping_backend() -> MockBackend:
@@ -359,34 +355,20 @@ class TestRun:
     def test_threaded_and_sequential_agree(self):
         # float sums of these prices depend on summation order
         descriptor = BackendDescriptor(
-            kind="mock", model_id="priced", usd_per_1k_prompt_tokens=0.0013,
-            usd_per_1k_completion_tokens=0.0071,
+            kind="remote", model_id="priced", endpoint="http://fake.test/v1",
+            usd_per_1k_prompt_tokens=0.0013, usd_per_1k_completion_tokens=0.0071,
         )
-
-        def interleaving_backend() -> MockBackend:
-            # every call yields the GIL first, so client threads interleave
-            # their calls the way they would against a remote model
-            backend = MockBackend(descriptor)
-            backend.add_rule(lambda request: time.sleep(0))
-            for rule in (forward_rule, evaluation_rule, gradient_response_rule,
-                         gradient_prompt_rule, tgd_rule, summarize_rule):
-                backend.add_rule(rule)
-            return backend
-
         data = _federated()
-        sequential = run(
-            RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5),
-            data,
-            interleaving_backend(),
-        )
-        threaded = run(
-            RunConfig(
-                num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5,
-                deterministic=False,
-            ),
-            data,
-            interleaving_backend(),
-        )
+        outcomes = []
+        # a session that answers at once keeps the run sequential; 1 ms of
+        # latency per call makes the fan-outs overlap calls
+        for delay in (0.0, 0.001):
+            session = LatencySession(delay)
+            backend = RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+            cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5)
+            outcomes.append((run(cfg, data, backend), session.peak))
+        (sequential, seq_peak), (threaded, thr_peak) = outcomes
+        assert (seq_peak, thr_peak > 1) == (1, True)
         assert threaded.final_prompt.text == sequential.final_prompt.text
         assert threaded.best_prompt.text == sequential.best_prompt.text
         assert [d.example_ids for d in threaded.decisions] == [
@@ -403,15 +385,14 @@ class TestRun:
         )
         data = _federated()
         outcomes = []
-        for deterministic in (True, False):
-            session = _SummingSession()
+        for delay in (0.0, 0.001):
+            session = _SummingSession(delay)
             backend = RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
-            cfg = RunConfig(
-                num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5,
-                deterministic=deterministic,
-            )
-            outcomes.append((run(cfg, data, backend), session.posts, backend.call_log))
-        (sequential, seq_posts, seq_log), (threaded, thr_posts, thr_log) = outcomes
+            cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5)
+            outcomes.append((run(cfg, data, backend), session, backend.call_log))
+        (sequential, seq_session, seq_log), (threaded, thr_session, thr_log) = outcomes
+        seq_posts, thr_posts = seq_session.posts, thr_session.posts
+        assert (seq_session.peak, thr_session.peak > 1) == (1, True)
         assert threaded.records == sequential.records
         assert threaded.total_cost_usd == sequential.total_cost_usd
         assert threaded.final_test_cost_usd == sequential.final_test_cost_usd
@@ -454,29 +435,14 @@ class TestRun:
                 broken.validate()
 
 
-class _SummingSession:
-    """Thread-safe stand-in for ``requests.Session``: every chat completion
-    answers with the sum of the numbers in its user text. Each post yields
-    the GIL first, so client threads interleave their calls."""
-
-    def __init__(self):
-        self.posts = 0
-        self._lock = threading.Lock()
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        time.sleep(0)
-        with self._lock:
-            self.posts += 1
-        total = sum(int(n) for n in re.findall(r"\d+", json["messages"][1]["content"]))
-        return _Answer(f"Adding the items gives {total}. Answer: {total}")
+def _sum_rule(request) -> str:
+    total = sum(int(n) for n in re.findall(r"\d+", request.user_text))
+    return f"Adding the items gives {total}. Answer: {total}"
 
 
-class _Answer:
-    status_code = 200
-    text = ""
+class _SummingSession(LatencySession):
+    """Every chat completion answers with the sum of the numbers in its user
+    text, after ``delay`` seconds."""
 
-    def __init__(self, content):
-        self._content = content
-
-    def json(self):
-        return {"choices": [{"message": {"content": self._content}}]}
+    def __init__(self, delay: float):
+        super().__init__(delay, rules=(_sum_rule,))
