@@ -440,6 +440,11 @@ class Backend:
         self.call_log.append(request, result, cost, source)
         return result
 
+    def close(self) -> None:
+        """Release what the backend holds for a run (the fan-out's workers);
+        the backend still serves later calls."""
+        self.fan_out.close()
+
     def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
         """The result for ``request`` and its :attr:`CallRecord.source`."""
         return self._generate(request), "live"

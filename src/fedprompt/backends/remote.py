@@ -14,7 +14,7 @@ import threading
 import time
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable
+from typing import IO, Any, Callable
 
 import requests
 
@@ -62,7 +62,9 @@ class Cassette:
     :func:`~fedprompt.backends.base.ordered_write`); ``mode="replay"`` serves
     stored responses by request hash, each once and in recorded order, and
     never touches the network. Each line is ``{"request_hash", "request",
-    "response", "timestamp"}``.
+    "response", "timestamp"}``. Recording keeps one append handle open and
+    flushes it after every line, so a killed process keeps every committed
+    line; :meth:`close` closes the handle, and a later line reopens it.
     """
 
     def __init__(self, path: str | Path, mode: str = "replay"):
@@ -72,6 +74,7 @@ class Cassette:
         self.mode = mode
         self._store: dict[str, deque[dict[str, Any]]] = {}
         self._write_lock = threading.Lock()
+        self._file: IO[str] | None = None
         if mode == "replay":
             self._load()
 
@@ -96,8 +99,17 @@ class Cassette:
         ordered_write(self._append_line, json.dumps(entry) + "\n")
 
     def _append_line(self, line: str) -> None:
-        with self._write_lock, self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line)
+        with self._write_lock:
+            if self._file is None:
+                self._file = self.path.open("a", encoding="utf-8")
+            self._file.write(line)
+            self._file.flush()
+
+    def close(self) -> None:
+        with self._write_lock:
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     def replay(self, payload: dict[str, Any]) -> dict[str, Any]:
         key = request_hash(payload)
@@ -128,6 +140,8 @@ class RemoteBackend(Backend):
 
     An injected ``session`` is shared by every thread; without one, each
     thread gets its own ``requests.Session``, which is not thread-safe.
+    :meth:`close` closes the sessions the backend created (never an injected
+    one) and the cassette; later calls open new ones.
     """
 
     def __init__(
@@ -149,6 +163,7 @@ class RemoteBackend(Backend):
         self.cassette = cassette
         self._shared_session = session
         self._local = threading.local()
+        self._created: list[requests.Session] = []
         self.backoff_base = backoff_base
         self.sleep = sleep
         self.timeout = timeout
@@ -165,7 +180,19 @@ class RemoteBackend(Backend):
         session = getattr(self._local, "session", None)
         if session is None:
             session = self._local.session = requests.Session()
+            self._created.append(session)
         return session
+
+    def close(self) -> None:
+        super().close()  # first, so that no worker thread is left to post
+        created, self._created = self._created, []
+        self._local = threading.local()
+        for session in created:
+            close = getattr(session, "close", None)  # stand-ins for a Session may have none
+            if close is not None:
+                close()
+        if self.cassette is not None:
+            self.cassette.close()
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}

@@ -18,7 +18,7 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from fedprompt import __version__
 from fedprompt.aggregation import (
@@ -28,7 +28,7 @@ from fedprompt.aggregation import (
     AggregationInput,
     aggregate,
 )
-from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, Backend, BackendDescriptor
+from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, GENERATION_TAGS, Backend, BackendDescriptor
 from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.remote import Cassette, RemoteBackend
@@ -264,58 +264,39 @@ def _resolve_run_settings(args: argparse.Namespace) -> dict[str, Any]:
     return settings
 
 
-def _write_run_dir(
-    out_dir: Path,
-    settings: dict[str, Any],
-    report: RunReport,
-    backend: Backend,
-    hashes: dict[str, str],
-    templates_hash: str,
-    started_at: float,
-) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _dump_json(path: Path, doc: dict[str, Any]) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
-    config_snapshot = {
-        **settings,
-        "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
-        "output_dir": str(out_dir),
-    }
-    manifest = {
-        "artifact_version": __version__,
-        "config": config_snapshot,
-        "templates_sha256": templates_hash,
-        "dataset_sha256": hashes,
-        "backend_descriptor": dataclasses.asdict(backend.descriptor),
-        "started_at": started_at,
-        "finished_at": time.time(),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
-    with (out_dir / "rounds.jsonl").open("w", encoding="utf-8") as fh:
-        for record in report.records:
-            fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+def _open_run_dir(out_dir: Path, manifest: dict[str, Any], initial_prompt: str) -> Callable[..., None]:
+    """Start the run directory and return the ``on_barrier`` hook that adds each round to it.
+    Until ``report.json`` exists, ``manifest.json`` re-executes an unfinished run."""
 
-    with (out_dir / "decisions.jsonl").open("w", encoding="utf-8") as fh:
-        for decision in report.decisions:
-            fh.write(json.dumps(dataclasses.asdict(decision), sort_keys=True) + "\n")
-
-    for round_no, snapshots in report.prompt_history.items():
+    def write_round(round_no: int, records: list, snapshots: dict[str, PromptState], decisions: list, mode="a") -> None:
+        for name, items in (("rounds.jsonl", records), ("decisions.jsonl", decisions)):
+            with (out_dir / name).open(mode, encoding="utf-8") as fh:
+                fh.writelines(json.dumps(dataclasses.asdict(item), sort_keys=True) + "\n" for item in items)
         round_dir = out_dir / "prompts" / f"round_{round_no}"
         round_dir.mkdir(parents=True, exist_ok=True)
         for name, state in snapshots.items():
             filename = "global.txt" if name == "global" else f"client_{name}.txt"
             (round_dir / filename).write_text(state.text + "\n", encoding="utf-8")
 
-    def total_calls(field: str) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for record in report.records:
-            for tag, count in getattr(record, field).items():
-                totals[tag] = totals.get(tag, 0) + count
-        return totals
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.json").unlink(missing_ok=True)
+        _dump_json(out_dir / "manifest.json", manifest)
+        write_round(0, [], {"global": PromptState(text=initial_prompt)}, [], mode="w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write the run directory {out_dir}: {exc}") from exc
+    return lambda record, snapshots, decisions: write_round(record.round, [record], snapshots, decisions)
 
-    report_doc = {
+
+def _report_doc(report: RunReport) -> dict[str, Any]:
+    def total_calls(field: str) -> dict[str, int]:
+        return {tag: sum(getattr(r, field)[tag] for r in report.records) for tag in GENERATION_TAGS}
+
+    return {
         "best_prompt": dataclasses.asdict(report.best_prompt),
         "final_prompt": dataclasses.asdict(report.final_prompt),
         "best_val_accuracy": report.best_val_accuracy,
@@ -329,9 +310,6 @@ def _write_run_dir(
         "llm_calls_by_tag": total_calls("llm_calls_by_tag"),
         "llm_calls_issued_by_tag": total_calls("llm_calls_issued_by_tag"),
     }
-    (out_dir / "report.json").write_text(
-        json.dumps(report_doc, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -344,17 +322,27 @@ def cmd_run(args: argparse.Namespace) -> int:
     settings["templates_path"] = templates_path
     data, hashes = _load_datasets(settings)
     backend = build_backend(settings["backend"])
-
-    report = run(cfg, data, backend, templates)
+    cfg.validate(data)
 
     out_dir = Path(settings["output_dir"] or f"runs/run-s{cfg.seed}-{cfg.strategy}")
-    _write_run_dir(out_dir, settings, report, backend, hashes, templates_hash, started_at)
+    manifest = {
+        "artifact_version": __version__,
+        "config": {
+            **settings,
+            "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
+            "output_dir": str(out_dir),
+        },
+        "templates_sha256": templates_hash,
+        "dataset_sha256": hashes,
+        "backend_descriptor": dataclasses.asdict(backend.descriptor),
+        "started_at": started_at,
+    }
+    report = run(cfg, data, backend, templates, _open_run_dir(out_dir, manifest, cfg.initial_prompt))
+    _dump_json(out_dir / "report.json", _report_doc(report))
+    _dump_json(out_dir / "manifest.json", {**manifest, "finished_at": time.time()})
     print(
-        f"rounds={len(report.records)} "
-        f"best_val_accuracy={report.best_val_accuracy:.4f} "
-        f"test_accuracy={report.test_accuracy:.4f} "
-        f"total_cost_usd={report.total_cost_usd:.6f} "
-        f"out={out_dir}"
+        f"rounds={len(report.records)} best_val_accuracy={report.best_val_accuracy:.4f} "
+        f"test_accuracy={report.test_accuracy:.4f} total_cost_usd={report.total_cost_usd:.6f} out={out_dir}"
     )
     return 0
 

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from random import Random
+from typing import Callable
 
 from fedprompt.aggregation import (
     DEFAULT_DYNAMIC_THRESHOLD,
@@ -42,7 +43,8 @@ class RunConfig:
     separator: str = DEFAULT_SEPARATOR
     dynamic_threshold: int = DEFAULT_DYNAMIC_THRESHOLD
 
-    def validate(self) -> None:
+    def validate(self, data: FederatedData | None = None) -> None:
+        """Reject bad settings and, given ``data``, data the run cannot use."""
         if self.num_clients < 1:
             raise ConfigError("num_clients must be >= 1")
         if not 0 < self.sampling_rate <= 1:
@@ -59,6 +61,15 @@ class RunConfig:
             )
         if not self.initial_prompt.strip():
             raise ConfigError("initial_prompt must be non-empty")
+        if data is None:
+            return
+        if set(data.partition.assignments) != set(range(self.num_clients)):
+            raise ConfigError(
+                f"partition covers clients {sorted(data.partition.assignments)} "
+                f"but the run wants {self.num_clients} clients"
+            )
+        if not data.val or not data.test:
+            raise ConfigError("run needs non-empty validation and test splits")
 
 
 @dataclass
@@ -118,7 +129,6 @@ class RunReport:
     total_cost_usd: float
     final_test_cost_usd: float
     records: list[RoundRecord]
-    prompt_history: dict[int, dict[str, PromptState]]
     decisions: list[BatchDecision]
 
 
@@ -238,7 +248,6 @@ def server_round(
     prompt snapshots (per sampled client plus the new global), and the
     decision log.
     """
-    templates = templates or default_templates()
     round_no = server.round + 1
     sample_rng = Random(f"{cfg.seed}:sample:round:{round_no}")
     sampled = sample_clients(cfg.num_clients, cfg.sampling_rate, sample_rng)
@@ -315,17 +324,13 @@ def run(
     data: FederatedData,
     backend: Backend,
     templates: Templates | None = None,
+    on_barrier: Callable[[RoundRecord, dict[str, PromptState], list[BatchDecision]], None] | None = None,
 ) -> RunReport:
-    """Execute the full round loop and score the selected prompt on test data."""
-    cfg.validate()
-    templates = templates or default_templates()
-    if set(data.partition.assignments) != set(range(cfg.num_clients)):
-        raise ConfigError(
-            f"partition covers clients {sorted(data.partition.assignments)} "
-            f"but the run wants {cfg.num_clients} clients"
-        )
-    if not data.val or not data.test:
-        raise ConfigError("run needs non-empty validation and test splits")
+    """Execute the full round loop and score the selected prompt on test data.
+
+    ``on_barrier`` gets what :func:`server_round` returns, on this thread, after each round.
+    """
+    cfg.validate(data)
 
     clients = [
         ClientState(id=cid, partition=data.client_examples(cid))
@@ -338,9 +343,6 @@ def run(
     )
 
     records: list[RoundRecord] = []
-    prompt_history: dict[int, dict[str, PromptState]] = {
-        0: {"global": server.global_prompt}
-    }
     all_decisions: list[BatchDecision] = []
     try:
         for _ in range(cfg.rounds):
@@ -348,8 +350,9 @@ def run(
                 server, clients, cfg, backend, data.val, templates
             )
             records.append(record)
-            prompt_history[server.round] = snapshots
             all_decisions.extend(decisions)
+            if on_barrier is not None:
+                on_barrier(record, snapshots, decisions)
 
         assert server.best_prompt is not None and server.best_val_score is not None
         cost_before_test = backend.call_log.total_cost_usd()
@@ -358,7 +361,7 @@ def run(
         )
         final_test_cost = backend.call_log.total_cost_usd() - cost_before_test
     finally:
-        backend.fan_out.close()  # no worker thread outlives the run
+        backend.close()  # no worker thread or created session outlives the run
 
     return RunReport(
         best_prompt=server.best_prompt,
@@ -369,6 +372,5 @@ def run(
         total_cost_usd=sum(r.round_cost_usd for r in records),
         final_test_cost_usd=final_test_cost,
         records=records,
-        prompt_history=prompt_history,
         decisions=all_decisions,
     )

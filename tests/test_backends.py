@@ -540,6 +540,45 @@ class TestRemoteBackend:
         assert len(made) == 4
         assert all(len(session.threads) == 1 for session in made)
 
+    def test_close_closes_the_sessions_it_created_and_a_closed_backend_still_serves(self, monkeypatch):
+        from fedprompt.backends import remote
+
+        made = []
+
+        class Closable:
+            def __init__(self):
+                self.closed = False
+                made.append(self)
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                assert not self.closed
+                return _FakeResponse(200, _chat_payload("ok"))
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(remote.requests, "Session", Closable)
+        backend = _remote(None)
+        request = GenerationRequest(tag="forward", system_text="", user_text="q")
+        thread = threading.Thread(target=backend.generate, args=(request,))
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        backend.generate(request)
+        backend.close()
+        assert [session.closed for session in made] == [True, True]
+        assert backend.generate(request).text == "ok"
+        assert [session.closed for session in made] == [True, True, False]
+
+    def test_close_leaves_an_injected_session_open(self):
+        injected, closed = _SlowSession(), []
+        injected.close = lambda: closed.append(injected)
+        backend = _remote(injected)
+        backend.generate(GenerationRequest(tag="forward", system_text="", user_text="q"))
+        backend.close()
+        assert closed == []
+        assert backend.generate(GenerationRequest(tag="forward", system_text="", user_text="q")).text == "judged"
+
     def test_injected_session_is_shared_by_threads(self):
         session = _SlowSession()
         backend = _remote(session)
@@ -591,6 +630,7 @@ class TestCassette:
         recorder = _remote(session, cassette=Cassette(path, mode="record"))
         request = GenerationRequest(tag="forward", system_text="s", user_text="u")
         first = recorder.generate(request)
+        recorder.close()
 
         entry = json.loads(path.read_text().splitlines()[0])
         assert set(entry) == {"request_hash", "request", "response", "timestamp"}
@@ -621,6 +661,7 @@ class TestCassette:
         recorder = _remote(session, cassette=Cassette(path, mode="record"))
         for _ in range(2):
             recorder.generate(GenerationRequest(tag="forward", system_text="s", user_text="u"))
+        recorder.close()
 
         replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
         texts = [
@@ -637,12 +678,28 @@ class TestCassette:
         recorder = _remote(session, cassette=Cassette(path, mode="record"))
         request = GenerationRequest(tag="forward", system_text="s", user_text="u")
         recorder.generate(request)
+        recorder.close()
 
         replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
         assert replayer.generate(request).text == "only"
         with pytest.raises(BackendError, match="no response left"):
             replayer.generate(request)
 
+
+    def test_recorded_lines_are_on_disk_before_close_and_recording_after_close_appends(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        outcomes = [_FakeResponse(200, _chat_payload(text)) for text in ("first", "second")]
+        recorder = _remote(_FakeSession(outcomes), cassette=Cassette(path, mode="record"))
+        request = GenerationRequest(tag="forward", system_text="s", user_text="u")
+        recorder.generate(request)
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+        recorder.close()
+        recorder.generate(request)
+        recorder.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["response"]["choices"][0]["message"]["content"] for line in lines] == [
+            "first", "second"
+        ]
 
     def test_concurrent_records_leave_one_parseable_line_each(self, tmp_path):
         path = tmp_path / "exchange.jsonl"
@@ -660,6 +717,7 @@ class TestCassette:
             t.start()
         for t in threads:
             t.join()
+        cassette.close()
         lines = path.read_text(encoding="utf-8").splitlines()
         assert sorted(json.loads(line)["request"]["i"] for line in lines) == list(range(n))
 
@@ -669,6 +727,7 @@ class TestCassette:
         recorder = _remote(session, cassette=Cassette(path, mode="record"))
         for _ in range(3):
             recorder.generate(_greedy())
+        recorder.close()
         assert len(path.read_text().splitlines()) == 1
 
         replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
@@ -708,20 +767,15 @@ class _ChunkedPath:
         self._path = path
 
     def open(self, mode, encoding=None):
-        path = self._path
+        fh = self._path.open(mode, encoding=encoding, buffering=1)
 
         class Chunked:
-            def __enter__(self):
-                self._fh = path.open(mode, encoding=encoding, buffering=1)
-                return self
-
-            def __exit__(self, *exc):
-                self._fh.close()
+            flush, close = fh.flush, fh.close
 
             def write(self, text):
                 for i in range(0, len(text), 4096):
-                    self._fh.write(text[i : i + 4096])
-                    self._fh.flush()
+                    fh.write(text[i : i + 4096])
+                    fh.flush()
                     time.sleep(0)
 
         return Chunked()
@@ -886,12 +940,16 @@ class TestLiveHTTPRecordReplay:
             recorder = RemoteBackend(
                 descriptor, cassette=Cassette(path, mode="record"), backoff_base=0.0
             )
-            live = recorder.generate(
-                GenerationRequest(tag="forward", system_text="s", user_text="ping")
-            )
+            try:
+                live = recorder.generate(
+                    GenerationRequest(tag="forward", system_text="s", user_text="ping")
+                )
+            finally:
+                recorder.close()
             assert live.text == "echo: ping"
         finally:
             server.shutdown()
+            server.server_close()
             thread.join()
 
         # server is down; the cassette must carry the exchange alone
@@ -903,6 +961,7 @@ class TestLiveHTTPRecordReplay:
         replayed = offline.generate(
             GenerationRequest(tag="forward", system_text="s", user_text="ping")
         )
+        offline.close()
         assert replayed.text == "echo: ping"
 
 

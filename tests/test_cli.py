@@ -13,7 +13,7 @@ from fedprompt.backends.ngram import NgramBackend
 from fedprompt.cli import _resolve_run_settings, build_backend, build_parser, main
 from fedprompt.errors import ConfigError
 from fedprompt.runtime import RunConfig
-from tests.conftest import FINAL_INSTRUCTION, make_counting_rows, write_jsonl
+from tests.conftest import FINAL_INSTRUCTION, LatencySession, make_counting_rows, write_jsonl
 
 
 def _dataset(tmp_path: Path, n: int = 20, name: str = "counting.jsonl") -> Path:
@@ -63,7 +63,40 @@ class _ContextLengthSession(_AnswerSession):
         return json.loads(self.text)
 
 
+class _DyingSession(LatencySession):
+    """Answers like :class:`LatencySession` for ``lives`` posts, then with HTTP 500."""
+
+    def __init__(self, lives: int):
+        super().__init__()
+        self.lives = lives
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if self.posts < self.lives:
+            return super().post(url, json, headers, timeout)
+        self.posts += 1
+        return _ServerError()
+
+
+class _ServerError:
+    status_code = 500
+    text = "internal server error"
+    headers: dict = {}
+
+
 _ENDPOINT = "http://127.0.0.1:9/v1"
+
+
+def _lines(out: Path, name: str) -> list[str]:
+    return (out / name).read_text(encoding="utf-8").splitlines()
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` but a manifest, by path relative to ``root``."""
+    return {
+        path.relative_to(root).as_posix(): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
 
 
 def _run_actions() -> list[argparse.Action]:
@@ -361,7 +394,65 @@ class TestRunCommand:
         code = main(_run_args(_dataset(tmp_path), out, backend="remote", endpoint=_ENDPOINT))
         assert code == 4
         assert _error_payload(capsys)["category"] == "context-window"
-        assert not out.exists()
+        assert "finished_at" not in json.loads((out / "manifest.json").read_text())
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+    def test_out_that_cannot_be_created_exits_config_before_any_call(self, tmp_path, monkeypatch, capsys, under):
+        session = LatencySession()
+        monkeypatch.setattr(remote.requests, "Session", lambda: session)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        assert main(_run_args(_dataset(tmp_path), out, backend="remote", endpoint=_ENDPOINT)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["category"] == "config"
+        assert session.posts == 0
+
+    def _dying_run(self, tmp_path, monkeypatch, out: Path, full: Path) -> int:
+        """Run ``full``'s three rounds into ``out`` against an endpoint that
+        answers HTTP 500 from the fifth post of round 2 on."""
+        round_1 = json.loads((full / "rounds.jsonl").read_text().splitlines()[0])
+        session = _DyingSession(sum(round_1["llm_calls_issued_by_tag"].values()) + 4)
+        monkeypatch.setattr(remote.requests, "Session", lambda: session)
+        code = main(_run_args(_dataset(tmp_path), out, rounds="3", backend="remote", endpoint=_ENDPOINT))
+        assert session.posts > session.lives
+        return code
+
+    def _full_run(self, tmp_path, monkeypatch, out: Path) -> None:
+        monkeypatch.setattr(remote.requests, "Session", LatencySession)
+        assert main(_run_args(_dataset(tmp_path), out, rounds="3", backend="remote", endpoint=_ENDPOINT)) == 0
+
+    def test_a_run_dead_in_round_2_keeps_round_1_and_its_manifest_finishes_it(self, tmp_path, monkeypatch, capsys):
+        full, dead = tmp_path / "full", tmp_path / "dead"
+        self._full_run(tmp_path, monkeypatch, full)
+        assert self._dying_run(tmp_path, monkeypatch, dead, full) == 3
+        assert _error_payload(capsys)["category"] == "backend"
+        assert "finished_at" not in json.loads((dead / "manifest.json").read_text())
+        assert not (dead / "report.json").exists()
+        assert _lines(dead, "rounds.jsonl") == _lines(full, "rounds.jsonl")[:1]
+        assert _lines(dead, "decisions.jsonl") == [
+            line for line in _lines(full, "decisions.jsonl") if json.loads(line)["round"] == 1
+        ]
+        assert _tree(dead / "prompts") == {
+            name: text for name, text in _tree(full / "prompts").items() if name.startswith(("round_0/", "round_1/"))
+        }
+
+        monkeypatch.setattr(remote.requests, "Session", LatencySession)
+        assert main(["run", "--config", str(dead / "manifest.json")]) == 0
+        assert "finished_at" in json.loads((dead / "manifest.json").read_text())
+        assert _tree(dead) == _tree(full)
+
+    def test_a_rerun_that_dies_keeps_nothing_of_the_finished_run_before_it(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        self._full_run(tmp_path, monkeypatch, out)
+        finished = _lines(out, "rounds.jsonl")
+        assert len(finished) == 3
+        assert self._dying_run(tmp_path, monkeypatch, out, out) == 3
+        assert not (out / "report.json").exists()
+        assert "finished_at" not in json.loads((out / "manifest.json").read_text())
+        assert _lines(out, "rounds.jsonl") == finished[:1]
+        assert {json.loads(line)["round"] for line in _lines(out, "decisions.jsonl")} == {1}
 
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)

@@ -119,7 +119,7 @@ class TestFanOut:
 
         with pytest.raises(RuntimeError, match="thunk 1 failed"):
             backend.fan_out.gather([lambda i=i: thunk(i) for i in range(4)])
-        backend.fan_out.close()
+        backend.close()
         assert sorted(finished) == [0, 2]
         texts = [r.request.user_text for r in backend.call_log.records()]
         assert texts[base.DECIDING_CALLS:] == ["q0", "q1", "q2", "q3"]
@@ -223,15 +223,17 @@ class TestRun:
         for delay in (0.0, _LATENCY):
             session = LatencySession(delay, jitter=True)
             backend = _remote(session)
-            report = run(_cfg(), _data(), backend)
+            snapshots = []
+            report = run(_cfg(), _data(), backend, on_barrier=lambda _, prompts, __: snapshots.append(prompts))
             calls = [(r.tag, r.request.system_text, r.request.user_text) for r in backend.call_log.records()]
-            outcomes.append((report, calls, session.peak))
-        (sequential, seq_calls, seq_peak), (concurrent, calls, peak) = outcomes
+            outcomes.append((report, calls, session.peak, snapshots))
+        (sequential, seq_calls, seq_peak, seq_snapshots), (concurrent, calls, peak, snapshots) = outcomes
         assert (seq_peak, peak > 1) == (1, True)
         assert calls == seq_calls
         assert concurrent.records == sequential.records
         assert concurrent.decisions == sequential.decisions
-        assert concurrent.prompt_history == sequential.prompt_history
+        assert len(snapshots) == _cfg().rounds
+        assert snapshots == seq_snapshots
 
     def test_mock_run_starts_no_thread(self, thread_starts):
         backend = counting_rule_backend()
@@ -246,6 +248,27 @@ class TestRun:
         assert thread_starts
         assert not any(t.is_alive() for t in thread_starts)
         assert set(threading.enumerate()) <= before
+
+    def test_run_closes_every_session_it_created_and_the_cassette(self, tmp_path, monkeypatch):
+        made = []
+
+        class Closable(LatencySession):
+            closed = False
+
+            def __init__(self):
+                super().__init__(_LATENCY)
+                made.append(self)
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(remote.requests, "Session", Closable)
+        cassette = Cassette(tmp_path / "cassette.jsonl", mode="record")
+        backend = RemoteBackend(BackendDescriptor(kind="remote", model_id="m", endpoint=_ENDPOINT), cassette=cassette)
+        run(_cfg(), _data(), backend)
+        assert len(made) > 1
+        assert all(session.closed for session in made)
+        assert cassette._file is None
 
 
 def _run_argv(tmp_path: Path, out: str, *extra: str) -> list[str]:

@@ -303,12 +303,14 @@ def _federated(n_examples: int = 20, n_clients: int = 3, seed: int = 7) -> Feder
 class TestRun:
     def test_two_round_report_shape(self):
         cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=3)
-        report = run(cfg, _federated(), counting_rule_backend())
+        barriers = []
+        report = run(cfg, _federated(), counting_rule_backend(), on_barrier=lambda *round_: barriers.append(round_))
         assert len(report.records) == 2
         assert [r.round for r in report.records] == [1, 2]
-        assert set(report.prompt_history) == {0, 1, 2}
-        assert set(report.prompt_history[0]) == {"global"}
-        assert set(report.prompt_history[1]) == {"0", "1", "2", "global"}
+        assert [record for record, _, _ in barriers] == report.records
+        assert [set(snapshots) for _, snapshots, _ in barriers] == [{"0", "1", "2", "global"}] * 2
+        assert [d for _, _, decisions in barriers for d in decisions] == report.decisions
+        assert barriers[-1][1]["global"] == report.final_prompt
         assert report.final_prompt.version == (2, "server")
 
     def test_initial_prompt_never_validated(self):
