@@ -8,7 +8,11 @@ Model: Laplace-smoothed conditional probabilities
 
     P(w | h) = (count(h, w) + alpha) / (count(h) + alpha * |V|)
 
-where ``h`` is the preceding ``order - 1`` tokens. Near the start of a
+where ``h`` is the preceding ``order - 1`` tokens, ``count(h, w)`` is the
+number of times the n-gram ``h + (w,)`` occurs inside one training sequence,
+and ``count(h)`` is the number of times ``h`` is followed by a token inside
+one sequence: the sum of ``count(h, w)`` over all ``w``. An occurrence of
+``h`` that ends a sequence is not counted in ``count(h)``. Near the start of a
 sequence the history is shorter, so position ``i`` is scored with the
 ``min(i, order - 1)`` tokens available — the first token of any sequence is
 scored from the unigram distribution. With ``alpha == 0`` (maximum
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 from fedprompt.backends.base import (
@@ -69,25 +74,20 @@ class NgramBackend(Backend):
         sequences = [corpus] if isinstance(corpus, str) else list(corpus)
         tokenized = [seq.split() for seq in sequences]
 
-        if vocab is None:
-            self.vocab = sorted({tok for seq in tokenized for tok in seq} | {UNK})
-            self._map_oov = True
-        else:
-            self.vocab = sorted(set(vocab))
-            self._map_oov = UNK in self.vocab
+        derived = vocab is None
+        self.vocab = sorted(({tok for seq in tokenized for tok in seq} | {UNK}) if derived else set(vocab))
         self._vocab_set = set(self.vocab)
+        self._map_oov = UNK in self._vocab_set
+        if not derived:  # a derived vocabulary holds every corpus token
+            tokenized = [[self._map_token(tok, training=True) for tok in seq] for seq in tokenized]
 
-        # Co-occurrence counts for every history length 0 .. order-1, over
-        # every position in every sequence.
-        self._next: dict[tuple[str, ...], Counter[str]] = {}
+        # count(h, w) for every n-gram h + (w,) of length 1 .. order, then count(h).
+        self._grams: Counter[tuple[str, ...]] = Counter()
+        for n in range(1, order + 1):
+            self._grams.update(chain.from_iterable(zip(*(seq[k:] for k in range(n))) for seq in tokenized))
         self._totals: Counter[tuple[str, ...]] = Counter()
-        for seq in tokenized:
-            mapped = [self._map_token(tok, training=True) for tok in seq]
-            for i, tok in enumerate(mapped):
-                for hist_len in range(min(i, order - 1) + 1):
-                    hist = tuple(mapped[i - hist_len : i])
-                    self._next.setdefault(hist, Counter())[tok] += 1
-                    self._totals[hist] += 1
+        for gram, count in self._grams.items():
+            self._totals[gram[:-1]] += count
 
     # -- probabilities ---------------------------------------------------------
 
@@ -108,8 +108,8 @@ class NgramBackend(Backend):
         word = self._map_token(word)
         window = history[max(0, len(history) - (self.order - 1)) :]
         hist = tuple(self._map_token(t) for t in window)
-        c_hw = self._next.get(hist, Counter())[word]
-        c_h = self._totals[hist]
+        c_hw = self._grams.get(hist + (word,), 0)
+        c_h = self._totals.get(hist, 0)
         v = len(self.vocab)
         if self.alpha > 0:
             return (c_hw + self.alpha) / (c_h + self.alpha * v)

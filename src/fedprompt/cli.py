@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import shutil
 import sys
 import time
 from importlib import resources
@@ -285,6 +286,8 @@ def _open_run_dir(out_dir: Path, manifest: dict[str, Any], initial_prompt: str) 
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "report.json").unlink(missing_ok=True)
+        if (out_dir / "prompts").exists():  # an earlier, longer run's rounds
+            shutil.rmtree(out_dir / "prompts")
         _dump_json(out_dir / "manifest.json", manifest)
         write_round(0, [], {"global": PromptState(text=initial_prompt)}, [], mode="w")
     except OSError as exc:

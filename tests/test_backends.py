@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 import threading
 import time
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -22,7 +24,7 @@ from fedprompt.backends.base import (
     count_tokens,
 )
 from fedprompt.backends.mock import MockBackend, load_script
-from fedprompt.backends.ngram import NgramBackend
+from fedprompt.backends.ngram import UNK, NgramBackend
 from fedprompt.backends.remote import Cassette, RemoteBackend, request_hash
 from fedprompt.errors import (
     BackendError,
@@ -238,7 +240,68 @@ class TestMockBackend:
         )
 
 
+class _ReferenceNgram:
+    """Brute-force reference for :class:`NgramBackend`: counts every history
+    length 0 .. order-1 at every position of every sequence, one token at a time."""
+
+    def __init__(self, corpus: list[str], order: int, alpha: float, vocab: list[str]):
+        self.order, self.alpha, self.vocab = order, alpha, vocab
+        self.successors: dict[tuple[str, ...], Counter[str]] = {}
+        for seq in corpus:
+            toks = [self.map(tok) for tok in seq.split()]
+            for i, tok in enumerate(toks):
+                for hist_len in range(min(i, order - 1) + 1):
+                    self.successors.setdefault(tuple(toks[i - hist_len : i]), Counter())[tok] += 1
+
+    def map(self, tok: str) -> str:
+        return tok if tok in self.vocab else UNK
+
+    def prob(self, word: str, history) -> float:
+        hist = tuple(self.map(tok) for tok in history[max(0, len(history) - (self.order - 1)) :])
+        following = self.successors.get(hist, Counter())
+        c_hw, c_h = following[self.map(word)], sum(following.values())
+        if self.alpha > 0:
+            return (c_hw + self.alpha) / (c_h + self.alpha * len(self.vocab))
+        return 1.0 / len(self.vocab) if c_h == 0 else c_hw / c_h
+
+
 class TestNgramBackend:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        corpus=st.lists(st.lists(st.sampled_from("abc"), max_size=6).map(" ".join), max_size=5),
+        order=st.integers(1, 4),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        explicit=st.none() | st.sets(st.sampled_from("abc")),
+        context=st.lists(st.sampled_from("abcz"), max_size=4),
+        text=st.lists(st.sampled_from("abcz"), max_size=6),
+    )
+    def test_probabilities_equal_a_brute_force_count(self, corpus, order, alpha, explicit, context, text):
+        vocab = None if explicit is None else sorted(explicit) + [UNK]
+        oracle = NgramBackend(corpus, order=order, alpha=alpha, vocab=vocab)
+        reference = _ReferenceNgram(corpus, order, alpha, oracle.vocab)
+        # every history of length 0 .. order over the vocabulary (seen or not), and one with an OOV token
+        histories = [h for n in range(order + 1) for h in itertools.product(oracle.vocab, repeat=n)] + [("z",)]
+        for history in histories:
+            for word in oracle.vocab:
+                assert oracle.prob(word, history) == reference.prob(word, history)
+        scored = oracle.token_logprobs(" ".join(context), " ".join(text))
+        expected = []
+        for i, word in enumerate(text):
+            p = reference.prob(word, context + text[:i])
+            expected.append(math.log(p) if p > 0 else float("-inf"))
+        assert scored.tokens == text
+        assert scored.logprobs == expected
+
+    def test_explicit_vocab_rejects_oov_in_the_training_corpus(self):
+        with pytest.raises(BackendError, match="training corpus"):
+            NgramBackend("a zebra", order=2, alpha=1.0, vocab=["a", "b"])
+
+    def test_explicit_vocab_with_unk_counts_training_oov_as_unk(self):
+        oracle = NgramBackend("a zebra zebra", order=2, alpha=1.0, vocab=["a", UNK])
+        assert oracle.prob(UNK) == pytest.approx((2 + 1) / (3 + 2))
+        assert oracle.prob(UNK, ["a"]) == pytest.approx((1 + 1) / (1 + 2))
+        assert oracle.prob("zebra", ["a"]) == oracle.prob(UNK, ["a"])
+
     def test_mle_deterministic_bigram(self):
         # "a b a b a b": a is always followed by b
         oracle = NgramBackend("a b a b a b", order=2, alpha=0.0, vocab=["a", "b"])

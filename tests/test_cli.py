@@ -454,6 +454,13 @@ class TestRunCommand:
         assert _lines(out, "rounds.jsonl") == finished[:1]
         assert {json.loads(line)["round"] for line in _lines(out, "decisions.jsonl")} == {1}
 
+    def test_a_shorter_rerun_leaves_no_prompts_of_the_longer_run_before_it(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(_run_args(_dataset(tmp_path), out, rounds="3")) == 0
+        assert main(_run_args(_dataset(tmp_path), out, rounds="1")) == 0
+        assert sorted(p.name for p in (out / "prompts").iterdir()) == ["round_0", "round_1"]
+        assert len(_lines(out, "rounds.jsonl")) == 1
+
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
         cassette = tmp_path / "cassette.jsonl"
