@@ -16,7 +16,15 @@ from fedprompt.backends.base import (
 )
 from fedprompt.backends.mock import MockBackend, load_script
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.backends.remote import Cassette, RemoteBackend, request_hash
+
+
+def __getattr__(name: str):  # backends.remote imports requests, so it loads on first use
+    if name in ("Cassette", "RemoteBackend", "request_hash"):
+        from fedprompt.backends import remote
+
+        return getattr(remote, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "DEFAULT_CONTEXT_WINDOW",

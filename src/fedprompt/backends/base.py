@@ -51,7 +51,7 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-@dataclass
+@dataclass(slots=True)
 class GenerationRequest:
     """One tagged model call.
 

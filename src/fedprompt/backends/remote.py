@@ -1,11 +1,12 @@
 """OpenAI-compatible HTTP backend with retry and record/replay support.
 
-Credentials come from the environment at call time and are never written to
-disk; cassette files hold requests and responses only.
+Credentials come from the environment at a run's first post and are never
+written to disk; cassette files hold requests and responses only.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -32,10 +33,15 @@ from fedprompt.errors import BackendError, ContextWindowExceeded, LogprobsUnsupp
 MAX_ATTEMPTS = 5
 
 
+def _canonical(payload: dict[str, Any]) -> tuple[str, str]:
+    """A request payload's canonical JSON and the sha256 hex digest of it."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def request_hash(payload: dict[str, Any]) -> str:
     """Stable content hash of a request payload (canonical JSON, sha256)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return _canonical(payload)[1]
 
 
 def _retry_after(resp: requests.Response) -> float | None:
@@ -62,7 +68,8 @@ class Cassette:
     :func:`~fedprompt.backends.base.ordered_write`); ``mode="replay"`` serves
     stored responses by request hash, each once and in recorded order, and
     never touches the network. Each line is ``{"request_hash", "request",
-    "response", "timestamp"}``. Recording keeps one append handle open and
+    "response", "timestamp"}``, the request in the canonical JSON that
+    :func:`request_hash` hashes. Recording keeps one append handle open and
     flushes it after every line, so a killed process keeps every committed
     line; :meth:`close` closes the handle, and a later line reopens it.
     """
@@ -90,13 +97,9 @@ class Cassette:
                 self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
 
     def record(self, payload: dict[str, Any], response: dict[str, Any]) -> None:
-        entry = {
-            "request_hash": request_hash(payload),
-            "request": payload,
-            "response": response,
-            "timestamp": time.time(),
-        }
-        ordered_write(self._append_line, json.dumps(entry) + "\n")
+        canonical, digest = _canonical(payload)
+        ordered_write(self._append_line, f'{{"request_hash": "{digest}", "request": {canonical}, '
+                      f'"response": {json.dumps(response)}, "timestamp": {time.time()!r}}}\n')
 
     def _append_line(self, line: str) -> None:
         with self._write_lock:
@@ -160,6 +163,7 @@ class RemoteBackend(Backend):
             raise ValueError("RemoteBackend needs an endpoint")
         super().__init__(descriptor)
         self.api_key_env = api_key_env
+        self._base_url = descriptor.endpoint.rstrip("/")
         self.cassette = cassette
         self._shared_session = session
         self._local = threading.local()
@@ -193,7 +197,9 @@ class RemoteBackend(Backend):
                 close()
         if self.cassette is not None:
             self.cassette.close()
+        vars(self).pop("_headers", None)  # the next run reads the key afresh
 
+    @functools.cached_property
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.api_key_env, "")
@@ -201,19 +207,13 @@ class RemoteBackend(Backend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _url(self, path: str) -> str:
-        return self.descriptor.endpoint.rstrip("/") + path
-
     def _post_with_retries(self, path: str, payload: dict[str, Any]) -> dict[str, Any]:
         last_reason = "unknown"
         for attempt in range(1, MAX_ATTEMPTS + 1):
             wait = None
             try:
                 resp = self.session.post(
-                    self._url(path),
-                    json=payload,
-                    headers=self._headers(),
-                    timeout=self.timeout,
+                    self._base_url + path, json=payload, headers=self._headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:
                 last_reason = f"transport error: {exc}"
@@ -253,6 +253,9 @@ class RemoteBackend(Backend):
             request.temperature,
             request.max_output_tokens,
         )
+        result = self._memo.get(key)  # a hit needs no lock: entries are never replaced
+        if result is not None:
+            return result, "memo"
         with self._memo_changed:
             while key in self._in_flight:
                 self._memo_changed.wait()
@@ -272,7 +275,6 @@ class RemoteBackend(Backend):
 
     def _generate(self, request: GenerationRequest) -> GenerationResult:
         payload = {
-            "op": "chat.completions",
             "model": self.descriptor.model_id,
             "messages": [
                 {"role": "system", "content": request.system_text},
@@ -281,7 +283,7 @@ class RemoteBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        response = self._exchange_tagged(payload, "/chat/completions")
+        response = self._exchange_tagged("chat.completions", payload, "/chat/completions")
         try:
             text = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -293,14 +295,16 @@ class RemoteBackend(Backend):
             completion_tokens=usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(text),
         )
 
-    def _exchange_tagged(self, keyed: dict[str, Any], path: str) -> dict[str, Any]:
-        """Replay/record under the op-tagged payload, send it without ``op``."""
-        if self.cassette is not None and self.cassette.mode == "replay":
+    def _exchange_tagged(self, op: str, wire: dict[str, Any], path: str) -> dict[str, Any]:
+        """Send ``wire``; a cassette keys it with ``op`` added, so that a chat
+        and a completions request never share a hash."""
+        if self.cassette is None:
+            return self._post_with_retries(path, wire)
+        keyed = {"op": op, **wire}
+        if self.cassette.mode == "replay":
             return self.cassette.replay(keyed)
-        wire = {k: v for k, v in keyed.items() if k != "op"}
         response = self._post_with_retries(path, wire)
-        if self.cassette is not None:
-            self.cassette.record(keyed, response)
+        self.cassette.record(keyed, response)
         return response
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
@@ -310,7 +314,6 @@ class RemoteBackend(Backend):
             )
         prompt = context + text
         payload = {
-            "op": "completions.echo",
             "model": self.descriptor.model_id,
             "prompt": prompt,
             "echo": True,
@@ -318,7 +321,7 @@ class RemoteBackend(Backend):
             "max_tokens": 0,
         }
         try:
-            response = self._exchange_tagged(payload, "/completions")
+            response = self._exchange_tagged("completions.echo", payload, "/completions")
         except BackendError as exc:
             if "HTTP 404" in str(exc):
                 raise LogprobsUnsupported(

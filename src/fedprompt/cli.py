@@ -32,7 +32,6 @@ from fedprompt.aggregation import (
 from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, GENERATION_TAGS, Backend, BackendDescriptor
 from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.backends.remote import Cassette, RemoteBackend
 from fedprompt.backends.rules import counting_rule_backend
 from fedprompt.errors import ConfigError, FedPromptError
 from fedprompt.prompts import PromptState
@@ -139,6 +138,8 @@ def _ngram_backend(spec: dict[str, Any]) -> Backend:
 
 
 def _remote_backend(spec: dict[str, Any]) -> Backend:
+    from fedprompt.backends.remote import Cassette, RemoteBackend  # only this builder needs requests
+
     described = _spec_args(spec, BackendDescriptor, "endpoint", "supports_logprobs", *_DESCRIBED)
     descriptor = BackendDescriptor(**{"kind": "remote", "model_id": "gpt-4", **described})
     if not descriptor.endpoint:
@@ -276,7 +277,7 @@ def _open_run_dir(out_dir: Path, manifest: dict[str, Any], initial_prompt: str) 
     def write_round(round_no: int, records: list, snapshots: dict[str, PromptState], decisions: list, mode="a") -> None:
         for name, items in (("rounds.jsonl", records), ("decisions.jsonl", decisions)):
             with (out_dir / name).open(mode, encoding="utf-8") as fh:
-                fh.writelines(json.dumps(dataclasses.asdict(item), sort_keys=True) + "\n" for item in items)
+                fh.writelines(json.dumps(vars(item), sort_keys=True) + "\n" for item in items)
         round_dir = out_dir / "prompts" / f"round_{round_no}"
         round_dir.mkdir(parents=True, exist_ok=True)
         for name, state in snapshots.items():

@@ -5,6 +5,10 @@ current prompt; an evaluation pass judges the answer; the backward pass asks
 the model for criticism — first of the response, then of the prompt given
 that criticism (the chain rule, in prose) — and the update step rewrites the
 prompt to incorporate the accumulated criticisms.
+
+Each function records the ``metadata`` it is given as is, without a copy, so
+one example's calls share the caller's dict; callers must not mutate it
+afterwards.
 """
 
 from __future__ import annotations
@@ -28,12 +32,6 @@ class Variable:
     predecessors: list["Variable"] = field(default_factory=list)
 
 
-def _meta(base: dict[str, Any] | None, **extra: Any) -> dict[str, Any]:
-    out = dict(base or {})
-    out.update(extra)
-    return out
-
-
 def forward_response(
     prompt: Variable,
     query: Variable,
@@ -51,7 +49,7 @@ def forward_response(
             tag="forward",
             system_text=prompt.value,
             user_text=query.value,
-            metadata=_meta(metadata),
+            metadata=metadata or {},
         )
     )
     return Variable(
@@ -82,7 +80,7 @@ def evaluate(
             tag="evaluation",
             system_text="",
             user_text=user_text,
-            metadata=_meta(metadata),
+            metadata=metadata or {},
         )
     )
     return Variable(
@@ -124,7 +122,7 @@ def backward(
                 response=response.value,
                 evaluation=evaluation.value,
             ),
-            metadata=_meta(metadata),
+            metadata=metadata or {},
         )
     ).text
     if response.requires_grad:
@@ -140,7 +138,7 @@ def backward(
                 response=response.value,
                 response_feedback=response_feedback,
             ),
-            metadata=_meta(metadata),
+            metadata=metadata or {},
         )
     ).text
     if prompt.requires_grad:
@@ -167,7 +165,7 @@ def tgd_step(
             tag="tgd_step",
             system_text="",
             user_text=fill(templates.tgd_template, prompt=prompt.value, criticisms=criticisms),
-            metadata=_meta(metadata),
+            metadata=metadata or {},
         )
     )
     return Variable(

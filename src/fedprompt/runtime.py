@@ -180,12 +180,7 @@ def client_update(
     for epoch in range(cfg.local_epochs):
         for batch_index in range(batches_per_epoch):
             batch = [rng.choice(client.partition) for _ in range(cfg.batch_size)]
-            meta = {
-                "client_id": client.id,
-                "round": round_no,
-                "epoch": epoch,
-                "batch_index": batch_index,
-            }
+            meta = {"client_id": client.id, "round": round_no, "epoch": epoch, "batch_index": batch_index}
             prompt_var = Variable(
                 current.text, "system prompt for reasoning task", requires_grad=True
             )

@@ -7,7 +7,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable
@@ -218,6 +218,7 @@ _ANSWER_RE = re.compile(r"(?i)answer\s*:\s*(.+?)\s*$")
 _NUMERIC_RE = re.compile(r"^-?(\d+\.?\d*|\.\d+)$")
 
 
+@lru_cache(maxsize=4096)  # scoring normalizes each expected answer again and again
 def normalize_answer(value: str) -> str:
     """Canonical form of an extracted VALUE.
 
@@ -247,14 +248,11 @@ def normalize_answer(value: str) -> str:
 
 def extract_answer(response_text: str) -> str:
     """VALUE from the last ``Answer: VALUE`` line of a response."""
-    found: str | None = None
-    for line in response_text.splitlines():
+    for line in reversed(response_text.splitlines()):
         match = _ANSWER_RE.search(line)
         if match:
-            found = match.group(1)
-    if found is None:
-        raise ExtractionFailure("no 'Answer: VALUE' line in response")
-    return normalize_answer(found)
+            return normalize_answer(match.group(1))
+    raise ExtractionFailure("no 'Answer: VALUE' line in response")
 
 
 @dataclass
@@ -303,21 +301,18 @@ def score(
 
     responses = backend.fan_out.gather([partial(answer, ex) for ex in examples])
     records: list[ScoreRecord] = []
-    parse_failures = 0
     for ex, response in zip(examples, responses):
         expected = normalize_answer(ex.answer)
         try:
-            extracted = extract_answer(response)
+            extracted: str | None = extract_answer(response)
         except ExtractionFailure:
-            parse_failures += 1
-            records.append(ScoreRecord(ex.id, expected, None, False))
-            continue
+            extracted = None
         records.append(ScoreRecord(ex.id, expected, extracted, extracted == expected))
-    correct = sum(1 for r in records if r.correct)
+    correct = sum(r.correct for r in records)
     return ScoreReport(
         accuracy=correct / len(examples),
         correct=correct,
         total=len(examples),
-        parse_failures=parse_failures,
+        parse_failures=sum(r.extracted is None for r in records),
         records=records,
     )

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -487,6 +488,19 @@ class TestRemoteBackend:
         backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
         assert session.calls[0]["headers"]["Authorization"] == "Bearer sk-secret"
 
+    def test_api_key_is_read_once_per_run(self, monkeypatch):
+        session = _FakeSession([_FakeResponse(200, _chat_payload())] * 3)
+        backend = _remote(session)
+        monkeypatch.setenv("FEDPROMPT_API_KEY", "sk-first")  # exported after construction
+        backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
+        monkeypatch.setenv("FEDPROMPT_API_KEY", "sk-second")
+        backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
+        backend.close()  # ends the run; the next one reads the key afresh
+        backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
+        assert [c["headers"]["Authorization"] for c in session.calls] == [
+            "Bearer sk-first", "Bearer sk-first", "Bearer sk-second"
+        ]
+
     def test_retries_on_429_then_succeeds(self):
         import requests
 
@@ -798,6 +812,41 @@ class TestCassette:
         assert texts == ["judged"] * 3
         assert [r.source for r in replayer.call_log.records()] == ["cassette", "memo", "memo"]
 
+    def test_a_line_splices_in_the_canonical_request_it_hashes(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        session = _FakeSession([_FakeResponse(200, _chat_payload("recorded"))])
+        recorder = _remote(session, cassette=Cassette(path, mode="record"))
+        recorder.generate(GenerationRequest(tag="forward", system_text="s \u00e9", user_text='u "q"'))
+        recorder.close()
+        (line,) = path.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(line)
+        assert entry["request_hash"] == request_hash(entry["request"])
+        assert entry["request"]["op"] == "chat.completions"
+        canonical = json.dumps(entry["request"], sort_keys=True, separators=(",", ":"))
+        # every other byte is laid out as json.dumps(entry) lays it out
+        assert line == json.dumps(entry).replace(json.dumps(entry["request"]), canonical)
+
+    def test_a_cassette_in_the_older_line_layout_replays(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        texts = ["first", "second", "third"]
+        session = _FakeSession([_FakeResponse(200, _chat_payload(text)) for text in texts])
+        recorder = _remote(session, cassette=Cassette(path, mode="record"))
+        sent = [
+            GenerationRequest(tag="forward", system_text="s", user_text="u"),
+            GenerationRequest(tag="forward", system_text="s", user_text="u"),
+            _greedy(),
+        ]
+        for request in sent:
+            recorder.generate(request)
+        recorder.close()
+        # the older writer dumped each entry whole: json.dumps(entry)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(json.dumps(json.loads(line)) + "\n" for line in lines), encoding="utf-8")
+        assert path.read_text(encoding="utf-8").splitlines() != lines
+
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert [replayer.generate(request).text for request in sent] == texts
+
     def test_cassette_recorded_without_memo_still_replays(self, tmp_path):
         # a cassette written before greedy calls were memoized holds every
         # repeat; replay uses the first and leaves the rest unread
@@ -954,6 +1003,33 @@ class TestResponseMemo:
         assert all(o is outcomes[0] for o in outcomes)
         sources = sorted(r.source for r in backend.call_log.records())
         assert sources == ["live"] + ["memo"] * 7
+
+    def test_memo_hits_without_the_lock_under_rapid_switching(self):
+        session = _SlowSession(delay=0.0)
+        backend = _remote(session)
+        n = 16
+        start = threading.Barrier(n)
+        results: list = [None] * n
+
+        def call(i):
+            start.wait()
+            results[i] = backend.generate(_greedy())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert session.posts == 1
+        assert all(r is not None and r is results[0] for r in results)
+        sources = Counter(r.source for r in backend.call_log.records())
+        assert sources == {"live": 1, "memo": n - 1}
 
     def test_waiters_retry_after_a_failed_owner(self):
         session = _SlowSession(delay=0.05, failures=1)

@@ -4,15 +4,20 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fedprompt
 from fedprompt.backends import remote
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.cli import _resolve_run_settings, build_backend, build_parser, main
+from fedprompt.cli import _open_run_dir, _resolve_run_settings, build_backend, build_parser, main
 from fedprompt.errors import ConfigError
-from fedprompt.runtime import RunConfig
+from fedprompt.prompts import PromptState
+from fedprompt.runtime import BatchDecision, RoundRecord, RunConfig
 from tests.conftest import FINAL_INSTRUCTION, LatencySession, make_counting_rows, write_jsonl
 
 
@@ -461,6 +466,23 @@ class TestRunCommand:
         assert sorted(p.name for p in (out / "prompts").iterdir()) == ["round_0", "round_1"]
         assert len(_lines(out, "rounds.jsonl")) == 1
 
+    def test_round_and_decision_lines_equal_the_asdict_dumps(self, tmp_path):
+        calls = {"forward": 12, "evaluation": 3, "tgd_step": 0}
+        record = RoundRecord(
+            round=1, strategy="summarize-uid", global_prompt_tokens=41, per_client_tokens=[40, 39],
+            val_accuracy=2 / 3, round_cost_usd=0.1 + 0.2, cumulative_cost_usd=1e-17,
+            llm_calls_by_tag=calls, llm_calls_issued_by_tag={**calls, "forward": 9},
+        )
+        decision = BatchDecision(
+            client_id=2, round=1, epoch=0, batch_index=3, example_ids=["t:1", "t:\u00e9"],
+            incumbent_accuracy=0.5, candidate_accuracy=1 / 3, accepted=False,
+        )
+        out = tmp_path / "out"
+        on_barrier = _open_run_dir(out, {"artifact_version": "test"}, "initial")
+        on_barrier(record, {"global": PromptState(text="merged")}, [decision, decision])
+        assert _lines(out, "rounds.jsonl") == [json.dumps(dataclasses.asdict(record), sort_keys=True)]
+        assert _lines(out, "decisions.jsonl") == [json.dumps(dataclasses.asdict(decision), sort_keys=True)] * 2
+
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
         cassette = tmp_path / "cassette.jsonl"
@@ -636,6 +658,33 @@ class TestScoreCommand:
         code = main(["score", "--prompt", str(prompt), "--dataset", str(bad)])
         assert code == 6
         assert _error_payload(capsys)["category"] == "dataset"
+
+
+class TestImports:
+    def test_commands_that_never_post_do_not_import_requests(self, tmp_path):
+        corpus, text = tmp_path / "corpus.txt", tmp_path / "text.txt"
+        corpus.write_text("a b c a b\nb c a\n", encoding="utf-8")
+        text.write_text("a b c\n", encoding="utf-8")
+        prompt = tmp_path / "prompt.txt"
+        prompt.write_text(f"Count the items. {FINAL_INSTRUCTION}\n", encoding="utf-8")
+        dataset = _dataset(tmp_path, 3)
+        script = f"""
+import contextlib, io, sys
+import fedprompt.cli
+assert "requests" not in sys.modules, "import fedprompt.cli"
+for argv in (
+    ["surprisal", "--text", {str(text)!r}, "--corpus", {str(corpus)!r}],
+    ["score", "--prompt", {str(prompt)!r}, "--dataset", {str(dataset)!r}],
+    ["aggregate", {str(prompt)!r}, {str(prompt)!r}, "--strategy", "concat", "--stats"],
+):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert fedprompt.cli.main(argv) == 0, argv
+    assert "requests" not in sys.modules, argv[0]
+"""
+        src = str(Path(fedprompt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestParser:

@@ -8,6 +8,7 @@ from fedprompt.backends.mock import MockBackend
 from fedprompt.errors import DuplicateId, ExtractionFailure, ParseError, TooManyClients
 from fedprompt.prompts import PromptState
 from fedprompt.tasks import (
+    _ANSWER_RE,
     TaskExample,
     _exact_sizes,
     build_federated_data,
@@ -237,7 +238,47 @@ EXTRACTION_CASES = [
 ]
 
 
+def _extract_forward(response_text: str) -> str:
+    """Reference: scan every line from the first and keep the last match."""
+    found = None
+    for line in response_text.splitlines():
+        match = _ANSWER_RE.search(line)
+        if match:
+            found = match.group(1)
+    if found is None:
+        raise ExtractionFailure("no 'Answer: VALUE' line in response")
+    return normalize_answer(found)
+
+
+def _outcome(extract, text: str) -> str | None:
+    try:
+        return extract(text)
+    except ExtractionFailure:
+        return None
+
+
+_VALUES = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "*", "**", "`", "_", "$"]),
+    st.one_of(st.integers(-10**6, 10**6).map(str), st.text(alphabet="0123456789.,- x", max_size=8)),
+    st.sampled_from(["", ".", "**", "*.", "`", "  "]),
+    st.sampled_from(["", "\r"]),
+)
+_LINES = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(["Answer:", "answer :", "ANSWER  :", "Final answer:"]),
+              st.sampled_from(["", " ", "  "]), _VALUES),
+    st.text(alphabet="abc Answer:\t.*1", max_size=20),
+    st.just(""),
+)
+
+
 class TestExtraction:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_LINES, max_size=8), st.sampled_from(["\n", "\r\n", "\n\n"]))
+    def test_backward_scan_equals_the_forward_scan(self, lines, newline):
+        text = newline.join(lines)
+        assert _outcome(extract_answer, text) == _outcome(_extract_forward, text)
+
     @pytest.mark.parametrize("text,expected", EXTRACTION_CASES)
     def test_accepted_variants(self, text, expected):
         assert extract_answer(text) == expected
