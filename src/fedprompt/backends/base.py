@@ -112,7 +112,6 @@ class BackendDescriptor:
     context_window: int = DEFAULT_CONTEXT_WINDOW
     usd_per_1k_prompt_tokens: float = 0.0
     usd_per_1k_completion_tokens: float = 0.0
-    tokenizer: str = "whitespace"
     supports_logprobs: bool = False
 
     def __post_init__(self) -> None:
@@ -147,26 +146,6 @@ class CallRecord:
     source: str = "live"
 
 
-def _add_exact(partials: list[float], x: float) -> None:
-    """Add ``x`` to a list of non-overlapping partial sums, exactly.
-
-    Shewchuk's algorithm: afterwards the partials still sum, with no rounding
-    error, to the exact total of everything added, so ``math.fsum`` over them
-    equals ``math.fsum`` over the addends themselves.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
 _pending = threading.local()
 
 
@@ -185,7 +164,7 @@ class CallLog:
 
     Appends go through :func:`ordered_write`, so the log follows program
     order even while a fan-out overlaps calls; reads hand back snapshots.
-    Per-tag counts and the exact running cost are kept as records arrive, so
+    Per-tag counts and the nonzero costs are kept as records arrive, so
     reading them does not scan the log. A call counts as *issued* unless the
     memo served it.
     """
@@ -195,7 +174,7 @@ class CallLog:
         self._lock = threading.Lock()
         self._counts = dict.fromkeys(GENERATION_TAGS, 0)
         self._issued = dict.fromkeys(GENERATION_TAGS, 0)
-        self._cost_partials: list[float] = []
+        self._costs: list[float] = []
 
     def append(
         self,
@@ -217,7 +196,7 @@ class CallLog:
             if source != "memo":
                 self._issued[request.tag] += 1
             if cost_usd:
-                _add_exact(self._cost_partials, cost_usd)
+                self._costs.append(cost_usd)
 
     def records(self) -> list[CallRecord]:
         with self._lock:
@@ -237,7 +216,7 @@ class CallLog:
     def total_cost_usd(self) -> float:
         # correctly rounded, so the total does not depend on summation order
         with self._lock:
-            return math.fsum(self._cost_partials)
+            return math.fsum(self._costs)
 
     def __len__(self) -> int:
         with self._lock:

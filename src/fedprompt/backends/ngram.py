@@ -1,6 +1,6 @@
 """Count-based n-gram scoring oracle.
 
-This backend exists to give the surprisal metrics an exactly computable
+This oracle exists to give the surprisal metrics an exactly computable
 probability model: every log probability it returns can be re-derived by
 hand from n-gram counts. It scores text; it does not generate.
 
@@ -27,20 +27,14 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
-from fedprompt.backends.base import (
-    Backend,
-    BackendDescriptor,
-    GenerationRequest,
-    GenerationResult,
-    TokenLogprobs,
-)
+from fedprompt.backends.base import BackendDescriptor, TokenLogprobs
 from fedprompt.errors import BackendError
 
 UNK = "<unk>"
 
 
-class NgramBackend(Backend):
-    """Scoring-only backend over hand-checkable n-gram counts.
+class NgramBackend:
+    """Scoring oracle over hand-checkable n-gram counts.
 
     ``corpus`` is one training sequence (a string) or several (an iterable of
     strings); histories never cross sequence boundaries. With ``vocab=None``
@@ -61,13 +55,7 @@ class NgramBackend(Backend):
             raise ValueError("order must be >= 1")
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        super().__init__(
-            BackendDescriptor(
-                kind="ngram_oracle",
-                model_id=f"ngram-{order}",
-                supports_logprobs=True,
-            )
-        )
+        self.descriptor = BackendDescriptor(kind="ngram_oracle", model_id=f"ngram-{order}", supports_logprobs=True)
         self.order = order
         self.alpha = alpha
 
@@ -122,8 +110,6 @@ class NgramBackend(Backend):
         p = self.prob(word, history)
         return math.log(p) if p > 0 else float("-inf")
 
-    # -- backend interface -----------------------------------------------------
-
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
         keep = self.order - 1
         window = [self._map_token(t) for t in context.split()]
@@ -135,6 +121,3 @@ class NgramBackend(Backend):
             logprobs.append(self.logprob(tok, window))
             window.append(tok)
         return TokenLogprobs(tokens=text_tokens, logprobs=logprobs)
-
-    def _generate(self, request: GenerationRequest) -> GenerationResult:
-        raise BackendError("the n-gram oracle scores text; it does not generate")

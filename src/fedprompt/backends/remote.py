@@ -173,7 +173,8 @@ class RemoteBackend(Backend):
         self.timeout = timeout
         self._memo: dict[tuple, GenerationResult] = {}
         self._in_flight: set[tuple] = set()
-        self._memo_changed = threading.Condition(threading.Lock())
+        self._memo_lock = threading.Lock()
+        self._memo_changed = threading.Condition(self._memo_lock)
 
     # -- HTTP plumbing ---------------------------------------------------------
 
@@ -256,7 +257,7 @@ class RemoteBackend(Backend):
         result = self._memo.get(key)  # a hit needs no lock: entries are never replaced
         if result is not None:
             return result, "memo"
-        with self._memo_changed:
+        with self._memo_lock:
             while key in self._in_flight:
                 self._memo_changed.wait()
             if key in self._memo:
@@ -266,7 +267,7 @@ class RemoteBackend(Backend):
         try:
             result = self._generate(request)
         finally:
-            with self._memo_changed:
+            with self._memo_lock:
                 self._in_flight.discard(key)
                 if result is not None:
                     self._memo[key] = result

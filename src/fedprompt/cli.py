@@ -29,7 +29,7 @@ from fedprompt.aggregation import (
     AggregationInput,
     aggregate,
 )
-from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, GENERATION_TAGS, Backend, BackendDescriptor
+from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, GENERATION_TAGS, Backend, BackendDescriptor, count_tokens
 from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.rules import counting_rule_backend
@@ -130,13 +130,6 @@ def _mock_backend(spec: dict[str, Any]) -> Backend:
     return backend
 
 
-def _ngram_backend(spec: dict[str, Any]) -> Backend:
-    corpus = _coerce("backend.corpus", spec.get("corpus"), None)
-    if not corpus:
-        raise ConfigError("ngram backend needs a corpus file")
-    return NgramBackend(_corpus_lines(corpus), **_spec_args(spec, NgramBackend, "order", "alpha"))
-
-
 def _remote_backend(spec: dict[str, Any]) -> Backend:
     from fedprompt.backends.remote import Cassette, RemoteBackend  # only this builder needs requests
 
@@ -152,7 +145,7 @@ def _remote_backend(spec: dict[str, Any]) -> Backend:
     )
 
 
-_BUILDERS = {"mock": _mock_backend, "ngram": _ngram_backend, "remote": _remote_backend}
+_BUILDERS = {"mock": _mock_backend, "remote": _remote_backend}
 
 
 def build_backend(spec: dict[str, Any]) -> Backend:
@@ -382,7 +375,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     if args.stats:
         oracle = NgramBackend(texts)
         stats = uid_stats(merged.text, "", oracle)
-        payload = {"tokens": {"merged": len(merged.text.split()), "inputs": [len(t.split()) for t in texts]}}
+        payload = {"tokens": {"merged": count_tokens(merged.text), "inputs": [count_tokens(t) for t in texts]}}
         payload.update(stats.as_dict())
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return 0
@@ -393,7 +386,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 def _read_text_file(path: str, what: str) -> str:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"{what} file not found: {path}")
     return p.read_text(encoding="utf-8").strip()
 
@@ -405,11 +398,14 @@ def _corpus_lines(path: str) -> list[str]:
 
 def cmd_surprisal(args: argparse.Namespace) -> int:
     text = _read_text_file(args.text, "text")
-    spec = {key: getattr(args, key) for key in ("corpus", "order", "alpha")}
-    backend = build_backend({"kind": "ngram", **{k: v for k, v in spec.items() if v is not None}})
+    params = {key: getattr(args, key) for key in ("order", "alpha") if getattr(args, key) is not None}
+    try:
+        oracle = NgramBackend(_corpus_lines(args.corpus), **params)
+    except ValueError as exc:  # a parameter the oracle rejects, or a corpus that is not UTF-8
+        raise ConfigError(f"ngram backend: {exc}") from exc
     if args.compare:
         other = _read_text_file(args.compare, "comparison text")
-        report = compare_uniformity(text, other, args.context, backend)
+        report = compare_uniformity(text, other, args.context, oracle)
         print(
             json.dumps(
                 {
@@ -421,8 +417,8 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    scored, series = scored_series(text, args.context, backend)
-    stats = SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
+    scored, series = scored_series(text, args.context, oracle)
+    stats = SurprisalStats.from_series(series, lm_id=oracle.descriptor.model_id)
     writer = csv.writer(sys.stdout)
     writer.writerow(["token", "logprob_nat", "surprisal_bits"])
     for token, logprob, surprisal in zip(scored.tokens, scored.logprobs, series):
@@ -469,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="run seed")
     p_run.add_argument("--backend", choices=tuple(_BUILDERS), dest="backend.kind", help="backend kind")
     p_run.add_argument("--script", dest="backend.script", help="mock backend script file")
-    p_run.add_argument("--corpus", dest="backend.corpus", help="ngram backend corpus file")
     p_run.add_argument("--endpoint", dest="backend.endpoint", help="remote backend base URL")
     p_run.add_argument("--model", dest="backend.model_id", help="remote model id")
     p_run.add_argument("--context-window", type=int, dest="backend.context_window", help="context window tokens")

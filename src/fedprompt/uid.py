@@ -10,11 +10,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Protocol
 
-from fedprompt.backends.base import Backend, TokenLogprobs
+from fedprompt.backends.base import BackendDescriptor, TokenLogprobs
 from fedprompt.errors import EmptyText
 
 _LN2 = math.log(2.0)
+
+
+class Scorer(Protocol):
+    """A reference model the metrics can score text under, such as the n-gram oracle."""
+
+    descriptor: BackendDescriptor
+
+    def token_logprobs(self, context: str, text: str) -> TokenLogprobs: ...
 
 
 @dataclass
@@ -53,7 +62,7 @@ class SurprisalStats:
         }
 
 
-def scored_series(text: str, context: str, backend: Backend) -> tuple[TokenLogprobs, list[float]]:
+def scored_series(text: str, context: str, backend: Scorer) -> tuple[TokenLogprobs, list[float]]:
     """Score ``text`` once: the backend's token log probabilities and the
     per-token surprisal of ``text`` given ``context``, in bits.
 
@@ -67,12 +76,12 @@ def scored_series(text: str, context: str, backend: Backend) -> tuple[TokenLogpr
     return scored, [-(lp / _LN2) + 0.0 for lp in scored.logprobs]
 
 
-def surprisal_series(text: str, context: str, backend: Backend) -> list[float]:
+def surprisal_series(text: str, context: str, backend: Scorer) -> list[float]:
     """Per-token surprisal of ``text`` given ``context``, in bits."""
     return scored_series(text, context, backend)[1]
 
 
-def uid_stats(text: str, context: str, backend: Backend) -> SurprisalStats:
+def uid_stats(text: str, context: str, backend: Scorer) -> SurprisalStats:
     series = surprisal_series(text, context, backend)
     return SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
 
@@ -86,7 +95,7 @@ class UniformityReport:
     more_uniform: str  # "a" | "b" | "tie"
 
 
-def compare_uniformity(a: str, b: str, context: str, backend: Backend) -> UniformityReport:
+def compare_uniformity(a: str, b: str, context: str, backend: Scorer) -> UniformityReport:
     """Which of two texts is more uniform (lower surprisal variance)?"""
     stats_a = uid_stats(a, context, backend)
     stats_b = uid_stats(b, context, backend)

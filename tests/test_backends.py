@@ -56,7 +56,6 @@ class TestDescriptor:
     def test_defaults(self):
         d = BackendDescriptor(kind="mock", model_id="m")
         assert d.context_window == 8192
-        assert d.tokenizer == "whitespace"
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -353,13 +352,6 @@ class TestNgramBackend:
         scored = oracle.token_logprobs("", "a a b")
         # first token scored from unigrams: P(a) = (2+1)/(3+2)
         assert scored.logprobs[0] == pytest.approx(math.log(3 / 5))
-
-    def test_generate_refuses(self):
-        oracle = NgramBackend("a b", order=2)
-        with pytest.raises(BackendError):
-            oracle.generate(
-                GenerationRequest(tag="forward", system_text="", user_text="a")
-            )
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -357,6 +357,26 @@ class TestRunCommand:
         assert main(["run", "--config", str(old), "--out", str(tmp_path / "again")]) == 2
         assert _error_payload(capsys)["message"] == "unknown config key: 'deterministic'"
 
+    # the n-gram oracle scores text and answers no model call, so no run takes it
+    def test_ngram_backend_flag_is_refused_before_the_run_directory(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main([*_run_args(_dataset(tmp_path), out), "--backend", "ngram", "--corpus", str(corpus)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_ngram_backend_in_a_config_file_exits_config_before_the_run_directory(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b\n")
+        assert self._config_run(tmp_path, backend={"kind": "ngram", "corpus": str(corpus)}) == 2
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("ConfigError", "config")
+        assert payload["message"] == "backend.kind must be one of mock, remote, got 'ngram'"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("source", ["flags", "config-file"])
     @pytest.mark.parametrize("ratios", [[0.5, 0.5, 0.5], [1.2, -0.1, -0.1]], ids=["sum-1.5", "negative"])
     def test_bad_ratios_exit_config(self, tmp_path, capsys, source, ratios):
@@ -634,6 +654,23 @@ class TestSurprisalCommand:
         assert code == 2
         assert _error_payload(capsys)["category"] == "config"
 
+    @pytest.mark.parametrize("corpus", ["", "."], ids=["empty", "directory"])
+    def test_corpus_path_that_is_no_file_is_config_error(self, tmp_path, capsys, corpus):
+        text = self._write(tmp_path, "text.txt", "a b")
+        assert main(["surprisal", "--text", text, "--corpus", corpus]) == 2
+        assert _error_payload(capsys)["message"] == f"corpus file not found: {corpus}"
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--order", "0", "ngram backend: order must be >= 1"), ("--alpha", "-1", "ngram backend: alpha must be >= 0")],
+    )
+    def test_invalid_oracle_parameter_is_config_error(self, tmp_path, capsys, flag, value, message):
+        corpus = self._write(tmp_path, "corpus.txt", "a b a b")
+        text = self._write(tmp_path, "text.txt", "a b")
+        assert main(["surprisal", "--text", text, "--corpus", corpus, flag, value]) == 2
+        payload = _error_payload(capsys)
+        assert (payload["error"], payload["category"], payload["message"]) == ("ConfigError", "config", message)
+
 
 class TestScoreCommand:
     def test_accuracy_readout(self, tmp_path, capsys):
@@ -704,10 +741,7 @@ class TestParser:
         assert backend_keys
         # a backend key has a home when some builder reads it: a value that
         # fits no type is then a config error naming the key
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("a b\n")
-        base = {"endpoint": _ENDPOINT, "corpus": str(corpus), "cassette": str(tmp_path / "c.jsonl"),
-                "cassette_mode": "record"}
+        base = {"endpoint": _ENDPOINT, "cassette": str(tmp_path / "c.jsonl"), "cassette_mode": "record"}
         kinds = next(a.choices for a in _run_actions() if a.dest == "backend.kind")
         for key in backend_keys:
             named = False
@@ -729,7 +763,6 @@ class TestParser:
             "cassette_mode": "record",
             "api_key_env": "ANSWER_KEY",
             "script": str(tmp_path / "unread-script.json"),
-            "corpus": str(tmp_path / "unread-corpus.txt"),
         }
         flags = []
         for action in _run_actions():
