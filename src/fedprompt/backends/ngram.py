@@ -18,6 +18,12 @@ sequence the history is shorter, so position ``i`` is scored with the
 scored from the unigram distribution. With ``alpha == 0`` (maximum
 likelihood) an unseen history falls back to the uniform distribution
 ``1 / |V|``.
+
+Counts are keyed by integer ids: ``vocab[i - 1]`` has id ``i``. The corpus
+is one flat id stream in which id 0 closes each sequence. Scored tokens never
+map to 0, so an n-gram across a sequence boundary is never looked up, and
+``count(h)`` sums only the n-grams whose last id is not 0. Building is linear
+in corpus tokens times ``order``.
 """
 
 from __future__ import annotations
@@ -61,31 +67,48 @@ class NgramBackend:
 
         sequences = [corpus] if isinstance(corpus, str) else list(corpus)
         tokenized = [seq.split() for seq in sequences]
+        distinct = dict.fromkeys(chain.from_iterable(tokenized))  # first-occurrence order
 
-        derived = vocab is None
-        self.vocab = sorted(({tok for seq in tokenized for tok in seq} | {UNK}) if derived else set(vocab))
-        self._vocab_set = set(self.vocab)
-        self._map_oov = UNK in self._vocab_set
-        if not derived:  # a derived vocabulary holds every corpus token
-            tokenized = [[self._map_token(tok, training=True) for tok in seq] for seq in tokenized]
+        self.vocab = sorted((set(distinct) | {UNK}) if vocab is None else set(vocab))
+        self._ids = {tok: i for i, tok in enumerate(self.vocab, 1)}
+        self._unk_id = self._ids.get(UNK, 0)  # 0: out-of-vocabulary tokens are an error
+        corpus_ids = {tok: self._id(tok, "training corpus") for tok in distinct}
+        stream: list[int] = []
+        for seq in tokenized:
+            stream += map(corpus_ids.__getitem__, seq)
+            stream.append(0)
 
         # count(h, w) for every n-gram h + (w,) of length 1 .. order, then count(h).
-        self._grams: Counter[tuple[str, ...]] = Counter()
-        for n in range(1, order + 1):
-            self._grams.update(chain.from_iterable(zip(*(seq[k:] for k in range(n))) for seq in tokenized))
-        self._totals: Counter[tuple[str, ...]] = Counter()
+        self._grams: Counter[tuple[int, ...]] = Counter({(w,): c for w, c in Counter(stream).items()})
+        for n in range(2, order + 1):
+            self._grams.update(zip(*(stream[k:] for k in range(n))))
+        self._totals: Counter[tuple[int, ...]] = Counter()
         for gram, count in self._grams.items():
-            self._totals[gram[:-1]] += count
+            if gram[-1]:
+                self._totals[gram[:-1]] += count
 
     # -- probabilities ---------------------------------------------------------
 
-    def _map_token(self, token: str, training: bool = False) -> str:
-        if token in self._vocab_set:
-            return token
-        if self._map_oov:
-            return UNK
-        where = "training corpus" if training else "scored text"
-        raise BackendError(f"token {token!r} in {where} is outside the explicit vocabulary")
+    def _id(self, token: str, where: str = "scored text") -> int:
+        tid = self._ids.get(token, self._unk_id)
+        if not tid:
+            raise BackendError(f"token {token!r} in {where} is outside the explicit vocabulary")
+        return tid
+
+    def _probs(self, ids: list[int], start: int) -> list[float]:
+        """``P(ids[i] | the order - 1 ids before it)`` for every ``i >= start``."""
+        keep, alpha, v = self.order - 1, self.alpha, len(self.vocab)
+        grams, totals = self._grams, self._totals
+        probs = []
+        for i in range(start, len(ids)):
+            hist = tuple(ids[max(0, i - keep) : i])
+            c_hw = grams.get(hist + (ids[i],), 0)
+            c_h = totals.get(hist, 0)
+            if alpha > 0:
+                probs.append((c_hw + alpha) / (c_h + alpha * v))
+            else:
+                probs.append(c_hw / c_h if c_h else 1.0 / v)
+        return probs
 
     def prob(self, word: str, history: Sequence[str] = ()) -> float:
         """Conditional probability of ``word`` after ``history``.
@@ -93,17 +116,9 @@ class NgramBackend:
         ``history`` may be any length; only its last ``order - 1`` tokens
         condition the estimate, matching how sequences are scored.
         """
-        word = self._map_token(word)
-        window = history[max(0, len(history) - (self.order - 1)) :]
-        hist = tuple(self._map_token(t) for t in window)
-        c_hw = self._grams.get(hist + (word,), 0)
-        c_h = self._totals.get(hist, 0)
-        v = len(self.vocab)
-        if self.alpha > 0:
-            return (c_hw + self.alpha) / (c_h + self.alpha * v)
-        if c_h == 0:
-            return 1.0 / v
-        return c_hw / c_h
+        wid = self._id(word)
+        ids = [self._id(t) for t in history[max(0, len(history) - (self.order - 1)) :]] + [wid]
+        return self._probs(ids, len(ids) - 1)[0]
 
     def logprob(self, word: str, history: Sequence[str] = ()) -> float:
         """Natural-log probability; ``-inf`` when MLE assigns zero."""
@@ -111,13 +126,8 @@ class NgramBackend:
         return math.log(p) if p > 0 else float("-inf")
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
-        keep = self.order - 1
-        window = [self._map_token(t) for t in context.split()]
         text_tokens = text.split()
-        logprobs = []
-        for tok in text_tokens:
-            # only the last order-1 tokens condition the estimate
-            window = window[max(0, len(window) - keep) :]
-            logprobs.append(self.logprob(tok, window))
-            window.append(tok)
+        ids = [self._id(t) for t in context.split() + text_tokens]
+        probs = self._probs(ids, len(ids) - len(text_tokens))
+        logprobs = [math.log(p) if p > 0 else float("-inf") for p in probs]
         return TokenLogprobs(tokens=text_tokens, logprobs=logprobs)

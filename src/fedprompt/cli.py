@@ -121,7 +121,7 @@ _DESCRIBED = ("model_id", "context_window", "usd_per_1k_prompt_tokens", "usd_per
 
 def _mock_backend(spec: dict[str, Any]) -> Backend:
     script = _coerce("backend.script", spec.get("script"), None)
-    if script and not Path(script).exists():
+    if script and not Path(script).is_file():
         raise ConfigError(f"mock script not found: {script}")
     backend = load_script(script) if script else counting_rule_backend()
     backend.descriptor = dataclasses.replace(
@@ -171,7 +171,7 @@ def _load_templates(path: str | None) -> tuple[Templates, str | None, str]:
     """Templates plus (path or None for bundled) and content hash."""
     if path:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise ConfigError(f"template file not found: {path}")
         return Templates.from_file(p), str(p), _sha256_file(p)
     bundled = resources.files("fedprompt").joinpath("data/templates.json")
@@ -192,7 +192,7 @@ def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, s
     else:
         for path in paths:
             p = Path(path)
-            if not p.exists():
+            if not p.is_file():
                 raise ConfigError(f"dataset path not found: {path}")
             hashes[str(p)] = _sha256_file(p)
             examples.extend(load_dataset(p, p.stem))
@@ -218,7 +218,7 @@ _NOT_SETTINGS = ("command", "config", "func")
 
 def _read_config(path_text: str) -> dict[str, Any]:
     path = Path(path_text)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path_text}")
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -351,7 +351,7 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
     texts = []
     for path in args.prompt_files:
         p = Path(path)
-        if not p.exists():
+        if not p.is_file():
             raise ConfigError(f"prompt file not found: {path}")
         texts.append(p.read_text(encoding="utf-8").rstrip("\n"))
     backend = build_backend({"kind": args.backend, "script": args.script})
@@ -403,9 +403,20 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
         oracle = NgramBackend(_corpus_lines(args.corpus), **params)
     except ValueError as exc:  # a parameter the oracle rejects, or a corpus that is not UTF-8
         raise ConfigError(f"ngram backend: {exc}") from exc
+    texts = [text, _read_text_file(args.compare, "comparison text")] if args.compare else [text]
+    try:
+        if args.compare:
+            report = compare_uniformity(*texts, args.context, oracle)
+        else:
+            scored, series = scored_series(text, args.context, oracle)
+            stats = SurprisalStats.from_series(series, lm_id=oracle.descriptor.model_id)
+    except ValueError as exc:  # alpha 0 gave a token probability 0, so infinite surprisal
+        scores = (oracle.token_logprobs(args.context, t) for t in texts)
+        token = next(tok for sc in scores for tok, lp in zip(sc.tokens, sc.logprobs) if lp == float("-inf"))
+        raise ConfigError(
+            f"token {token!r} has probability 0 under the ngram oracle; --alpha must be > 0 to score it"
+        ) from exc
     if args.compare:
-        other = _read_text_file(args.compare, "comparison text")
-        report = compare_uniformity(text, other, args.context, oracle)
         print(
             json.dumps(
                 {
@@ -417,8 +428,6 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
             )
         )
         return 0
-    scored, series = scored_series(text, args.context, oracle)
-    stats = SurprisalStats.from_series(series, lm_id=oracle.descriptor.model_id)
     writer = csv.writer(sys.stdout)
     writer.writerow(["token", "logprob_nat", "surprisal_bits"])
     for token, logprob, surprisal in zip(scored.tokens, scored.logprobs, series):
@@ -433,7 +442,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 def cmd_score(args: argparse.Namespace) -> int:
     prompt_text = _read_text_file(args.prompt, "prompt")
     p = Path(args.dataset)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"dataset path not found: {args.dataset}")
     examples = load_dataset(p, p.stem)
     backend = build_backend({"kind": args.backend, "script": args.script})

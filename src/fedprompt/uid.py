@@ -41,6 +41,8 @@ class SurprisalStats:
             raise EmptyText("cannot summarize an empty surprisal series")
         if any(s < 0 for s in series):
             raise ValueError("surprisals cannot be negative")
+        if not all(map(math.isfinite, series)):
+            raise ValueError("surprisals must be finite")
         n = len(series)
         mu = sum(series) / n
         var = sum((s - mu) ** 2 for s in series) / n

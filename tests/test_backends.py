@@ -296,6 +296,30 @@ class TestNgramBackend:
         with pytest.raises(BackendError, match="training corpus"):
             NgramBackend("a zebra", order=2, alpha=1.0, vocab=["a", "b"])
 
+    def test_explicit_vocab_names_the_first_oov_token_of_the_training_corpus(self):
+        # both orders: a token picked by hash order would be the same for both
+        for second, first in (("a yak", "zebra"), ("a zebra", "yak")):
+            with pytest.raises(BackendError, match=f"token '{first}' in training corpus"):
+                NgramBackend([f"b {first} a", second], order=2, alpha=1.0, vocab=["a", "b"])
+
+    def test_ids_past_the_small_int_cache_equal_a_brute_force_count(self):
+        rng = random.Random(7)
+        words = [f"w{i:03d}" for i in range(300)]
+        corpus = [" ".join(rng.choices(words[:280], k=rng.randint(1, 40))) for _ in range(60)]
+        context = rng.choices(words, k=3)
+        text = rng.choices(words, k=200) + ["zebra"]
+        for order, alpha in ((2, 0.0), (3, 0.5), (4, 1.0)):
+            oracle = NgramBackend(corpus, order=order, alpha=alpha)
+            assert len(oracle.vocab) > 256
+            reference = _ReferenceNgram(corpus, order, alpha, oracle.vocab)
+            expected = []
+            for i, word in enumerate(text):
+                history = context + text[:i]
+                p = reference.prob(word, history)
+                assert oracle.prob(word, history) == p
+                expected.append(math.log(p) if p > 0 else float("-inf"))
+            assert oracle.token_logprobs(" ".join(context), " ".join(text)).logprobs == expected
+
     def test_explicit_vocab_with_unk_counts_training_oov_as_unk(self):
         oracle = NgramBackend("a zebra zebra", order=2, alpha=1.0, vocab=["a", UNK])
         assert oracle.prob(UNK) == pytest.approx((2 + 1) / (3 + 2))
@@ -984,7 +1008,8 @@ class TestResponseMemo:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         return outcomes
 
     def test_concurrent_identical_greedy_requests_post_once(self):

@@ -671,6 +671,24 @@ class TestSurprisalCommand:
         payload = _error_payload(capsys)
         assert (payload["error"], payload["category"], payload["message"]) == ("ConfigError", "config", message)
 
+    @pytest.mark.parametrize("compare", [False, True], ids=["csv", "compare"])
+    def test_alpha_zero_with_a_zero_probability_token_is_config_error(self, tmp_path, capsys, compare):
+        corpus = self._write(tmp_path, "corpus.txt", "a b a b")
+        text = self._write(tmp_path, "text.txt", "a a b")
+        args = ["surprisal", "--corpus", corpus, "--order", "2", "--alpha", "0"]
+        if compare:  # the finite text first: the zero-probability token is in the second
+            args += ["--text", self._write(tmp_path, "finite.txt", "a b"), "--compare", text]
+        else:
+            args += ["--text", text]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("ConfigError", "config")
+        assert payload["message"].startswith("token 'a' has probability 0")
+        assert "--alpha must be > 0" in payload["message"]
+
 
 class TestScoreCommand:
     def test_accuracy_readout(self, tmp_path, capsys):
@@ -695,6 +713,27 @@ class TestScoreCommand:
         code = main(["score", "--prompt", str(prompt), "--dataset", str(bad)])
         assert code == 6
         assert _error_payload(capsys)["category"] == "dataset"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--config", "{dir}"], "config file not found: {dir}"),
+        (["run", "--dataset", "{dir}", "--out", "{out}"], "dataset path not found: {dir}"),
+        (["run", "--script", "{dir}", "--out", "{out}"], "mock script not found: {dir}"),
+        (["run", "--templates", "{dir}", "--out", "{out}"], "template file not found: {dir}"),
+        (["score", "--prompt", "{file}", "--dataset", "{dir}"], "dataset path not found: {dir}"),
+        (["aggregate", "{file}", "{dir}", "--strategy", "concat"], "prompt file not found: {dir}"),
+    ],
+    ids=["run-config", "run-dataset", "run-script", "run-templates", "score-dataset", "aggregate-prompt"],
+)
+def test_a_directory_given_as_an_input_file_is_config_error(tmp_path, capsys, argv, message):
+    paths = {"dir": str(tmp_path), "out": str(tmp_path / "out"), "file": str(tmp_path / "prompt.txt")}
+    (tmp_path / "prompt.txt").write_text(f"Count the items. {FINAL_INSTRUCTION}\n")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    payload = _error_payload(capsys)
+    assert (payload["error"], payload["message"]) == ("ConfigError", message.format(**paths))
+    assert not (tmp_path / "out").exists()
 
 
 class TestImports:

@@ -38,6 +38,11 @@ class TestStats:
         with pytest.raises(ValueError):
             SurprisalStats.from_series([1.0, -0.5])
 
+    @pytest.mark.parametrize("surprisal", [math.inf, math.nan])
+    def test_non_finite_surprisal_rejected(self, surprisal):
+        with pytest.raises(ValueError, match="finite"):
+            SurprisalStats.from_series([1.0, surprisal])
+
     def test_as_dict_keys(self):
         assert set(SurprisalStats.from_series([1.0]).as_dict()) == {"mu", "sigma2", "max", "n"}
 
