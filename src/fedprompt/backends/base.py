@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
-from fedprompt.errors import ContextWindowExceeded, LogprobsUnsupported
+from fedprompt.errors import ContextWindowExceeded
 
 #: Sampling temperature for each of the six reasons a model gets called, used
 #: when a request does not pin one. Optimization moves (forward rollout,
@@ -106,16 +106,15 @@ class TokenLogprobs:
 class BackendDescriptor:
     """Identity and limits of a backend instance."""
 
-    kind: str  # "remote" | "mock" | "ngram_oracle"
+    kind: str  # "remote" | "mock"
     model_id: str
     endpoint: str | None = None
     context_window: int = DEFAULT_CONTEXT_WINDOW
     usd_per_1k_prompt_tokens: float = 0.0
     usd_per_1k_completion_tokens: float = 0.0
-    supports_logprobs: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("remote", "mock", "ngram_oracle"):
+        if self.kind not in ("remote", "mock"):
             raise ValueError(f"unknown backend kind: {self.kind!r}")
         if self.context_window <= 0:
             raise ValueError("context_window must be positive")
@@ -385,9 +384,7 @@ class Backend:
     Subclasses implement :meth:`_generate`; this class owns the shared
     pre-condition (the request must fit the context window) and the shared
     bookkeeping (cost, call log, the fan-out's view of whether calls wait).
-    ``token_logprobs`` is optional and raises
-    :class:`~fedprompt.errors.LogprobsUnsupported` unless a subclass can
-    score text.
+    A backend only generates; text is scored by a :class:`fedprompt.uid.Scorer`.
     """
 
     def __init__(self, descriptor: BackendDescriptor):
@@ -430,11 +427,6 @@ class Backend:
 
     def _generate(self, request: GenerationRequest) -> GenerationResult:
         raise NotImplementedError
-
-    def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
-        raise LogprobsUnsupported(
-            f"backend {self.descriptor.model_id!r} cannot score token log probabilities"
-        )
 
     def _make_result(self, request: GenerationRequest, text: str) -> GenerationResult:
         """Build a result with token counts derived from the counting rule."""

@@ -33,7 +33,7 @@ from collections import Counter
 from itertools import chain
 from typing import Iterable, Sequence
 
-from fedprompt.backends.base import BackendDescriptor, TokenLogprobs
+from fedprompt.backends.base import TokenLogprobs
 from fedprompt.errors import BackendError
 
 UNK = "<unk>"
@@ -61,7 +61,7 @@ class NgramBackend:
             raise ValueError("order must be >= 1")
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        self.descriptor = BackendDescriptor(kind="ngram_oracle", model_id=f"ngram-{order}", supports_logprobs=True)
+        self.model_id = f"ngram-{order}"
         self.order = order
         self.alpha = alpha
 

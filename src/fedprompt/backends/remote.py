@@ -24,13 +24,14 @@ from fedprompt.backends.base import (
     BackendDescriptor,
     GenerationRequest,
     GenerationResult,
-    TokenLogprobs,
     count_tokens,
     ordered_write,
 )
-from fedprompt.errors import BackendError, ContextWindowExceeded, LogprobsUnsupported, TransportFailure
+from fedprompt.errors import BackendError, ContextWindowExceeded, TransportFailure
 
 MAX_ATTEMPTS = 5
+
+_CHAT_PATH = "/chat/completions"
 
 
 def _canonical(payload: dict[str, Any]) -> tuple[str, str]:
@@ -131,8 +132,8 @@ class RemoteBackend(Backend):
     or a 429's ``Retry-After`` seconds when it gives them) are for transport
     failures and HTTP 429 only; other HTTP errors surface
     immediately, an HTTP 400 with error code ``context_length_exceeded`` as
-    :class:`ContextWindowExceeded`. Token scoring uses echo-style completions
-    and requires the descriptor to advertise ``supports_logprobs``.
+    :class:`ContextWindowExceeded`. It only generates; surprisal is scored
+    by the local n-gram oracle.
 
     Responses come from one store with two layers. A temperature-0 chat
     request whose exact content was already answered is served from memory
@@ -208,13 +209,13 @@ class RemoteBackend(Backend):
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
-    def _post_with_retries(self, path: str, payload: dict[str, Any]) -> dict[str, Any]:
+    def _post_with_retries(self, payload: dict[str, Any]) -> dict[str, Any]:
         last_reason = "unknown"
         for attempt in range(1, MAX_ATTEMPTS + 1):
             wait = None
             try:
                 resp = self.session.post(
-                    self._base_url + path, json=payload, headers=self._headers, timeout=self.timeout
+                    self._base_url + _CHAT_PATH, json=payload, headers=self._headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:
                 last_reason = f"transport error: {exc}"
@@ -223,10 +224,12 @@ class RemoteBackend(Backend):
                     last_reason = "HTTP 429 (rate limited)"
                     wait = _retry_after(resp)
                 elif resp.status_code == 400 and _error_code(resp) == "context_length_exceeded":
-                    raise ContextWindowExceeded(f"endpoint found the request for {path} too long: {resp.text[:200]}")
+                    raise ContextWindowExceeded(
+                        f"endpoint found the request for {_CHAT_PATH} too long: {resp.text[:200]}"
+                    )
                 elif resp.status_code >= 400:
                     raise BackendError(
-                        f"endpoint returned HTTP {resp.status_code} for {path}: {resp.text[:200]}"
+                        f"endpoint returned HTTP {resp.status_code} for {_CHAT_PATH}: {resp.text[:200]}"
                     )
                 else:
                     try:
@@ -236,7 +239,7 @@ class RemoteBackend(Backend):
             if attempt < MAX_ATTEMPTS:
                 self.sleep(self.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
         raise TransportFailure(
-            f"giving up on {path} after {MAX_ATTEMPTS} attempts ({last_reason})",
+            f"giving up on {_CHAT_PATH} after {MAX_ATTEMPTS} attempts ({last_reason})",
             attempts=MAX_ATTEMPTS,
         )
 
@@ -284,7 +287,7 @@ class RemoteBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": request.max_output_tokens,
         }
-        response = self._exchange_tagged("chat.completions", payload, "/chat/completions")
+        response = self._exchange(payload)
         try:
             text = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -296,53 +299,14 @@ class RemoteBackend(Backend):
             completion_tokens=usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(text),
         )
 
-    def _exchange_tagged(self, op: str, wire: dict[str, Any], path: str) -> dict[str, Any]:
-        """Send ``wire``; a cassette keys it with ``op`` added, so that a chat
-        and a completions request never share a hash."""
+    def _exchange(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """Send ``payload``; a cassette keys it with ``"op": "chat.completions"``
+        added, so its request hashes stay those of existing cassettes."""
         if self.cassette is None:
-            return self._post_with_retries(path, wire)
-        keyed = {"op": op, **wire}
+            return self._post_with_retries(payload)
+        keyed = {"op": "chat.completions", **payload}
         if self.cassette.mode == "replay":
             return self.cassette.replay(keyed)
-        response = self._post_with_retries(path, wire)
+        response = self._post_with_retries(payload)
         self.cassette.record(keyed, response)
         return response
-
-    def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
-        if not self.descriptor.supports_logprobs:
-            raise LogprobsUnsupported(
-                f"descriptor for {self.descriptor.model_id!r} does not advertise logprobs"
-            )
-        prompt = context + text
-        payload = {
-            "model": self.descriptor.model_id,
-            "prompt": prompt,
-            "echo": True,
-            "logprobs": 0,
-            "max_tokens": 0,
-        }
-        try:
-            response = self._exchange_tagged("completions.echo", payload, "/completions")
-        except BackendError as exc:
-            if "HTTP 404" in str(exc):
-                raise LogprobsUnsupported(
-                    "endpoint has no echo-capable /completions route"
-                ) from exc
-            raise
-        try:
-            lp = response["choices"][0]["logprobs"]
-            tokens = lp["tokens"]
-            logprobs = lp["token_logprobs"]
-            offsets = lp["text_offset"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise LogprobsUnsupported(
-                f"endpoint response carries no echoed logprobs: {exc}"
-            ) from exc
-        boundary = len(context)
-        out_tokens: list[str] = []
-        out_logprobs: list[float] = []
-        for tok, logprob, offset in zip(tokens, logprobs, offsets):
-            if offset >= boundary:
-                out_tokens.append(tok)
-                out_logprobs.append(logprob if logprob is not None else float("-inf"))
-        return TokenLogprobs(tokens=out_tokens, logprobs=out_logprobs)

@@ -118,6 +118,9 @@ def _spec_args(spec: dict[str, Any], target: Any, *names: str, **renamed: str) -
 #: Descriptor fields that every generating backend takes from its spec.
 _DESCRIBED = ("model_id", "context_window", "usd_per_1k_prompt_tokens", "usd_per_1k_completion_tokens")
 
+#: Every key a backend spec may set: the union of the keys the builders read.
+_BACKEND_KEYS = ("kind", "script", "endpoint", "cassette", "cassette_mode", "api_key_env", *_DESCRIBED)
+
 
 def _mock_backend(spec: dict[str, Any]) -> Backend:
     script = _coerce("backend.script", spec.get("script"), None)
@@ -133,11 +136,13 @@ def _mock_backend(spec: dict[str, Any]) -> Backend:
 def _remote_backend(spec: dict[str, Any]) -> Backend:
     from fedprompt.backends.remote import Cassette, RemoteBackend  # only this builder needs requests
 
-    described = _spec_args(spec, BackendDescriptor, "endpoint", "supports_logprobs", *_DESCRIBED)
+    described = _spec_args(spec, BackendDescriptor, "endpoint", *_DESCRIBED)
     descriptor = BackendDescriptor(**{"kind": "remote", "model_id": "gpt-4", **described})
     if not descriptor.endpoint:
         raise ConfigError("remote backend needs an endpoint")
     cassette = _coerce("backend.cassette", spec.get("cassette"), None)
+    if not cassette and "cassette_mode" in spec:
+        raise ConfigError("backend.cassette_mode needs backend.cassette")
     return RemoteBackend(
         descriptor,
         cassette=Cassette(cassette, **_spec_args(spec, Cassette, mode="cassette_mode")) if cassette else None,
@@ -153,10 +158,14 @@ def build_backend(spec: dict[str, Any]) -> Backend:
 
     ``spec["kind"]`` picks the builder. Builders pass their constructors only
     the keys the spec sets, so every backend default lives in a constructor.
+    A key that no builder reads is an error, as an unknown run setting is.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ConfigError(f"backend.kind must be one of {', '.join(_BUILDERS)}, got {kind!r}")
+    for key in spec:
+        if key not in _BACKEND_KEYS:
+            raise ConfigError(f"unknown config key: {'backend.' + key!r}")
     try:
         return _BUILDERS[kind](spec)
     except ValueError as exc:  # a constructor rejected a value of the spec
@@ -165,6 +174,17 @@ def build_backend(spec: dict[str, Any]) -> Backend:
 
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _read_text_file(path: str, what: str) -> str:
+    """The text of an input file; a missing or non-UTF-8 file is a :class:`ConfigError`."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"{what} file not found: {path}")
+    try:
+        return p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{what} file is not UTF-8 text: {path}: {exc}") from exc
 
 
 def _load_templates(path: str | None) -> tuple[Templates, str | None, str]:
@@ -348,12 +368,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    texts = []
-    for path in args.prompt_files:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"prompt file not found: {path}")
-        texts.append(p.read_text(encoding="utf-8").rstrip("\n"))
+    texts = [_read_text_file(path, "prompt").rstrip("\n") for path in args.prompt_files]
     backend = build_backend({"kind": args.backend, "script": args.script})
     templates, _, _ = _load_templates(args.templates)
     agg_input = AggregationInput(
@@ -384,32 +399,22 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 # -- surprisal subcommand ----------------------------------------------------------
 
 
-def _read_text_file(path: str, what: str) -> str:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
-    return p.read_text(encoding="utf-8").strip()
-
-
-def _corpus_lines(path: str) -> list[str]:
-    """The non-blank lines of a corpus file, one training sequence each."""
-    return [line for line in _read_text_file(path, "corpus").splitlines() if line.strip()]
-
-
 def cmd_surprisal(args: argparse.Namespace) -> int:
-    text = _read_text_file(args.text, "text")
+    texts = [_read_text_file(args.text, "text").strip()]
+    corpus = [line for line in _read_text_file(args.corpus, "corpus").strip().splitlines() if line.strip()]
+    if args.compare:
+        texts.append(_read_text_file(args.compare, "comparison text").strip())
     params = {key: getattr(args, key) for key in ("order", "alpha") if getattr(args, key) is not None}
     try:
-        oracle = NgramBackend(_corpus_lines(args.corpus), **params)
-    except ValueError as exc:  # a parameter the oracle rejects, or a corpus that is not UTF-8
+        oracle = NgramBackend(corpus, **params)
+    except ValueError as exc:  # a parameter the oracle rejects
         raise ConfigError(f"ngram backend: {exc}") from exc
-    texts = [text, _read_text_file(args.compare, "comparison text")] if args.compare else [text]
     try:
         if args.compare:
             report = compare_uniformity(*texts, args.context, oracle)
         else:
-            scored, series = scored_series(text, args.context, oracle)
-            stats = SurprisalStats.from_series(series, lm_id=oracle.descriptor.model_id)
+            scored, series = scored_series(texts[0], args.context, oracle)
+            stats = SurprisalStats.from_series(series, lm_id=oracle.model_id)
     except ValueError as exc:  # alpha 0 gave a token probability 0, so infinite surprisal
         scores = (oracle.token_logprobs(args.context, t) for t in texts)
         token = next(tok for sc in scores for tok, lp in zip(sc.tokens, sc.logprobs) if lp == float("-inf"))
@@ -440,7 +445,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    prompt_text = _read_text_file(args.prompt, "prompt")
+    prompt_text = _read_text_file(args.prompt, "prompt").strip()
     p = Path(args.dataset)
     if not p.is_file():
         raise ConfigError(f"dataset path not found: {args.dataset}")

@@ -41,10 +41,6 @@ class NoScriptMatch(BackendError):
     """The scripted backend has no entry for a request; it never improvises."""
 
 
-class LogprobsUnsupported(BackendError):
-    """The backend cannot return per-token log probabilities."""
-
-
 class GraphNotEvaluated(FedPromptError):
     """Backward pass requested on a variable that was never evaluated."""
 

@@ -14,6 +14,7 @@ from typing import Any, Iterable
 
 from fedprompt.backends.base import Backend, GenerationRequest
 from fedprompt.errors import (
+    DatasetError,
     DuplicateId,
     ExtractionFailure,
     ParseError,
@@ -70,36 +71,40 @@ def load_dataset(path: str | Path, task_name: str = "") -> list[TaskExample]:
     task_name = task_name or path.stem
     examples: list[TaskExample] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                raw = json.loads(line)
-            except ValueError as exc:
-                raise ParseError(f"line {line_no} is not valid JSON: {exc}", line=line_no) from exc
-            if not isinstance(raw, dict):
-                raise ParseError(f"line {line_no} is not an object", line=line_no)
-            question = raw.get("question", raw.get("input"))
-            answer = raw.get("answer", raw.get("target"))
-            if question is None or answer is None:
-                raise ParseError(
-                    f"line {line_no} lacks a question/input or answer/target field",
-                    line=line_no,
-                )
-            answer = str(answer)
-            if "####" in answer:
-                answer = answer.rsplit("####", 1)[1]
-            answer = answer.strip().replace(",", "")
-            if not str(question).strip() or not answer:
-                raise ParseError(f"line {line_no} has an empty question or answer", line=line_no)
-            ex_id = str(raw.get("id") or f"{task_name}:{line_no}")
-            if ex_id in seen:
-                raise DuplicateId(f"duplicate example id {ex_id!r} at line {line_no}")
-            seen.add(ex_id)
-            examples.append(
-                TaskExample(id=ex_id, question=str(question), answer=answer, task_name=task_name)
+    try:
+        # split on "\n" only, as iterating the file does: a JSON string may hold U+2028
+        lines = path.read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"dataset file is not UTF-8 text: {path}: {exc}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            raw = json.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"line {line_no} is not valid JSON: {exc}", line=line_no) from exc
+        if not isinstance(raw, dict):
+            raise ParseError(f"line {line_no} is not an object", line=line_no)
+        question = raw.get("question", raw.get("input"))
+        answer = raw.get("answer", raw.get("target"))
+        if question is None or answer is None:
+            raise ParseError(
+                f"line {line_no} lacks a question/input or answer/target field",
+                line=line_no,
             )
+        answer = str(answer)
+        if "####" in answer:
+            answer = answer.rsplit("####", 1)[1]
+        answer = answer.strip().replace(",", "")
+        if not str(question).strip() or not answer:
+            raise ParseError(f"line {line_no} has an empty question or answer", line=line_no)
+        ex_id = str(raw.get("id") or f"{task_name}:{line_no}")
+        if ex_id in seen:
+            raise DuplicateId(f"duplicate example id {ex_id!r} at line {line_no}")
+        seen.add(ex_id)
+        examples.append(
+            TaskExample(id=ex_id, question=str(question), answer=answer, task_name=task_name)
+        )
     return examples
 
 

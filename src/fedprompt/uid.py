@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from fedprompt.backends.base import BackendDescriptor, TokenLogprobs
+from fedprompt.backends.base import TokenLogprobs
 from fedprompt.errors import EmptyText
 
 _LN2 = math.log(2.0)
@@ -21,7 +21,7 @@ _LN2 = math.log(2.0)
 class Scorer(Protocol):
     """A reference model the metrics can score text under, such as the n-gram oracle."""
 
-    descriptor: BackendDescriptor
+    model_id: str
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs: ...
 
@@ -85,7 +85,7 @@ def surprisal_series(text: str, context: str, backend: Scorer) -> list[float]:
 
 def uid_stats(text: str, context: str, backend: Scorer) -> SurprisalStats:
     series = surprisal_series(text, context, backend)
-    return SurprisalStats.from_series(series, lm_id=backend.descriptor.model_id)
+    return SurprisalStats.from_series(series, lm_id=backend.model_id)
 
 
 @dataclass

@@ -31,7 +31,6 @@ from fedprompt.errors import (
     BackendError,
     ContextWindowExceeded,
     FedPromptError,
-    LogprobsUnsupported,
     NoScriptMatch,
     TransportFailure,
 )
@@ -384,17 +383,6 @@ class TestNgramBackend:
             NgramBackend("a", alpha=-0.1)
 
 
-class TestBackendABC:
-    def test_logprobs_unsupported_by_default(self):
-        class Plain(Backend):
-            def _generate(self, request):
-                return self._make_result(request, "x")
-
-        backend = Plain(BackendDescriptor(kind="mock", model_id="m"))
-        with pytest.raises(LogprobsUnsupported):
-            backend.token_logprobs("", "text")
-
-
 _SOME_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
 
 
@@ -471,13 +459,8 @@ def _chat_payload(text="hello", prompt_tokens=7, completion_tokens=2):
     }
 
 
-def _remote(session, cassette=None, supports_logprobs=False):
-    descriptor = BackendDescriptor(
-        kind="remote",
-        model_id="test-model",
-        endpoint="http://fake.test/v1",
-        supports_logprobs=supports_logprobs,
-    )
+def _remote(session, cassette=None):
+    descriptor = BackendDescriptor(kind="remote", model_id="test-model", endpoint="http://fake.test/v1")
     return RemoteBackend(
         descriptor, cassette=cassette, session=session, backoff_base=0.0, sleep=lambda s: None
     )
@@ -688,32 +671,6 @@ class TestRemoteBackend:
             t.join()
         assert session.posts == 3
         assert backend.session is session
-
-    def test_logprobs_gated_by_descriptor(self):
-        backend = _remote(_FakeSession([]), supports_logprobs=False)
-        with pytest.raises(LogprobsUnsupported):
-            backend.token_logprobs("ctx", "text")
-
-    def test_echo_logprobs_sliced_by_offset(self):
-        context = "the context "
-        payload = {
-            "choices": [
-                {
-                    "logprobs": {
-                        "tokens": ["the", " context", " and", " text"],
-                        "token_logprobs": [None, -0.5, -1.0, -2.0],
-                        "text_offset": [0, 3, 12, 16],
-                    }
-                }
-            ]
-        }
-        session = _FakeSession([_FakeResponse(200, payload)])
-        backend = _remote(session, supports_logprobs=True)
-        scored = backend.token_logprobs(context, "and text")
-        assert scored.tokens == [" and", " text"]
-        assert scored.logprobs == [-1.0, -2.0]
-        assert session.calls[0]["json"]["echo"] is True
-        assert session.calls[0]["json"]["max_tokens"] == 0
 
 
 class TestCassette:

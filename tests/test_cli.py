@@ -332,12 +332,8 @@ class TestRunCommand:
             # the key is gone: concurrency is no longer a setting
             ({"deterministic": "false"}, "unknown config key: 'deterministic'"),
             ({"heterogeneous": "false"}, "must be true or false"),
-            (
-                {"backend": {"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": "false"}},
-                "must be true or false",
-            ),
         ],
-        ids=["deterministic", "heterogeneous", "backend.supports_logprobs"],
+        ids=["deterministic", "heterogeneous"],
     )
     def test_string_booleans_exit_config(self, tmp_path, capsys, monkeypatch, config, message):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
@@ -356,6 +352,46 @@ class TestRunCommand:
         capsys.readouterr()
         assert main(["run", "--config", str(old), "--out", str(tmp_path / "again")]) == 2
         assert _error_payload(capsys)["message"] == "unknown config key: 'deterministic'"
+
+    @pytest.mark.parametrize(
+        "backend, manifest",
+        [
+            ({"kind": "mock", "modle_id": "typo"}, False),
+            ({"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": False}, False),
+            ({"supports_logprobs": False}, True),
+        ],
+        ids=["typo", "removed-key", "old-manifest"],
+    )
+    def test_unknown_backend_key_exits_config_before_the_run_directory(self, tmp_path, capsys, backend, manifest):
+        (key,) = backend.keys() - {"kind", "endpoint"}
+        if manifest:  # a manifest written while the key existed
+            assert main(_run_args(_dataset(tmp_path), tmp_path / "first")) == 0
+            doc = json.loads((tmp_path / "first" / "manifest.json").read_text())
+            doc["config"]["backend"].update(backend)
+            config = tmp_path / "old-manifest.json"
+            config.write_text(json.dumps(doc))
+            capsys.readouterr()
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        else:
+            code = self._config_run(tmp_path, backend=backend)
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["message"] == f"unknown config key: 'backend.{key}'"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["flags", "config-file"])
+    def test_cassette_mode_without_a_cassette_exits_config_before_any_post(self, tmp_path, monkeypatch, capsys, source):
+        session = LatencySession()
+        monkeypatch.setattr(remote.requests, "Session", lambda: session)
+        spec = {"endpoint": _ENDPOINT, "cassette_mode": "replay"}
+        if source == "flags":
+            code = main(_run_args(_dataset(tmp_path), tmp_path / "out", backend="remote", **spec))
+        else:
+            code = self._config_run(tmp_path, backend={"kind": "remote", **spec})
+        assert code == 2
+        assert _error_payload(capsys)["message"] == "backend.cassette_mode needs backend.cassette"
+        assert session.posts == 0
+        assert not (tmp_path / "out").exists()
 
     # the n-gram oracle scores text and answers no model call, so no run takes it
     def test_ngram_backend_flag_is_refused_before_the_run_directory(self, tmp_path):
@@ -689,6 +725,26 @@ class TestSurprisalCommand:
         assert payload["message"].startswith("token 'a' has probability 0")
         assert "--alpha must be > 0" in payload["message"]
 
+    @pytest.mark.parametrize("missing", ["text", "corpus", "compare"])
+    def test_every_input_is_read_before_the_oracle_is_built(self, tmp_path, capsys, monkeypatch, missing):
+        builds = []
+        original = NgramBackend.__init__
+
+        def counted(backend, *args, **kwargs):
+            builds.append(args)
+            original(backend, *args, **kwargs)
+
+        monkeypatch.setattr(NgramBackend, "__init__", counted)
+        paths = {name: self._write(tmp_path, f"{name}.txt", "a b") for name in ("text", "corpus", "compare")}
+        names = list(paths)
+        for name in names[names.index(missing) :]:  # the missing input and every later one
+            paths[name] = str(tmp_path / f"no-{name}.txt")
+        argv = ["surprisal", "--text", paths["text"], "--corpus", paths["corpus"], "--compare", paths["compare"]]
+        assert main(argv) == 2
+        what = {"text": "text", "corpus": "corpus", "compare": "comparison text"}[missing]
+        assert _error_payload(capsys)["message"] == f"{what} file not found: {paths[missing]}"
+        assert builds == []
+
 
 class TestScoreCommand:
     def test_accuracy_readout(self, tmp_path, capsys):
@@ -733,6 +789,39 @@ def test_a_directory_given_as_an_input_file_is_config_error(tmp_path, capsys, ar
     assert main([arg.format(**paths) for arg in argv]) == 2
     payload = _error_payload(capsys)
     assert (payload["error"], payload["message"]) == ("ConfigError", message.format(**paths))
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error, code",
+    [
+        (["surprisal", "--text", "{bad}", "--corpus", "{file}"], "text file is not UTF-8 text: {bad}: ", 2),
+        (["surprisal", "--text", "{file}", "--corpus", "{bad}"], "corpus file is not UTF-8 text: {bad}: ", 2),
+        (
+            ["surprisal", "--text", "{file}", "--corpus", "{file}", "--compare", "{bad}"],
+            "comparison text file is not UTF-8 text: {bad}: ",
+            2,
+        ),
+        (["aggregate", "{file}", "{bad}", "--strategy", "concat"], "prompt file is not UTF-8 text: {bad}: ", 2),
+        (["score", "--prompt", "{bad}", "--dataset", "{dataset}"], "prompt file is not UTF-8 text: {bad}: ", 2),
+        (["score", "--prompt", "{file}", "--dataset", "{bad}"], "dataset file is not UTF-8 text: {bad}: ", 6),
+        (["run", "--dataset", "{bad}", "--out", "{out}"], "dataset file is not UTF-8 text: {bad}: ", 6),
+    ],
+    ids=["surprisal-text", "surprisal-corpus", "surprisal-compare", "aggregate-prompt", "score-prompt",
+         "score-dataset", "run-dataset"],
+)
+def test_an_input_file_that_is_not_utf8_exits_with_its_documented_code(tmp_path, capsys, argv, error, code):
+    paths = {"bad": str(tmp_path / "latin1.txt"), "file": str(tmp_path / "prompt.txt"),
+             "dataset": str(_dataset(tmp_path)), "out": str(tmp_path / "out")}
+    Path(paths["bad"]).write_bytes("Z\u00e4hle die Dinge.\n".encode("latin-1"))
+    Path(paths["file"]).write_text(f"Count the items. {FINAL_INSTRUCTION}\n")
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    payload = json.loads(line)
+    assert payload["category"] == {2: "config", 6: "dataset"}[code]
+    assert payload["message"].startswith(error.format(**paths)) and "can't decode byte 0xe4" in payload["message"]
     assert not (tmp_path / "out").exists()
 
 

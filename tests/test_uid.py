@@ -96,8 +96,8 @@ class TestSeries:
 
     def test_series_is_returned_as_scored(self):
         # The series is the backend's scores in bits, even where no stats can
-        # be taken: a positive logprob (an echo endpoint may report one) and
-        # an empty scoring.
+        # be taken: a positive logprob (a scorer other than the oracle may
+        # report one) and an empty scoring.
         backend = NgramBackend("a b", order=1)
         backend.token_logprobs = lambda context, text: TokenLogprobs(["a"], [math.log(2.0)])
         assert surprisal_series("a", context="", backend=backend) == [-1.0]
@@ -107,7 +107,7 @@ class TestSeries:
     def test_uid_stats_carries_model_id(self):
         backend = NgramBackend("a b a", order=2)
         stats = uid_stats("a", context="", backend=backend)
-        assert stats.lm_id == backend.descriptor.model_id
+        assert stats.lm_id == backend.model_id
         assert stats.token_count == 1
 
 
