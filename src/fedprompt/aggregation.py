@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, Backend, GenerationRequest, count_tokens
 from fedprompt.errors import ContextWindowExceeded, EmptyOutput
@@ -128,16 +127,7 @@ def aggregate_dynamic(
     return aggregate_summarize(agg_input, templates, final_instruction)
 
 
-#: Strategy id -> merge function, called as
-#: ``merge(agg_input, threshold, templates, final_instruction)``.
-_STRATEGIES: dict[str, Callable[..., PromptState]] = {
-    "concat": lambda agg_input, threshold, *rest: aggregate_concat(agg_input),
-    "summarize": lambda agg_input, threshold, *rest: aggregate_summarize(agg_input, *rest),
-    "summarize-uid": lambda agg_input, threshold, *rest: aggregate_summarize_uid(agg_input, *rest),
-    "dynamic": aggregate_dynamic,
-}
-
-STRATEGY_IDS = tuple(_STRATEGIES)
+STRATEGY_IDS = ("concat", "summarize", "summarize-uid", "dynamic")
 
 
 def aggregate(
@@ -148,7 +138,10 @@ def aggregate(
     final_instruction: str | None = None,
 ) -> PromptState:
     """Dispatch on a strategy id from :data:`STRATEGY_IDS`."""
-    merge = _STRATEGIES.get(strategy)
-    if merge is None:
-        raise ValueError(f"unknown aggregation strategy: {strategy!r}")
-    return merge(agg_input, threshold, templates, final_instruction)
+    if strategy == "concat":
+        return aggregate_concat(agg_input)
+    if strategy in ("summarize", "summarize-uid"):
+        return _summarize(agg_input, templates, final_instruction, uid=strategy == "summarize-uid")
+    if strategy == "dynamic":
+        return aggregate_dynamic(agg_input, threshold, templates, final_instruction)
+    raise ValueError(f"unknown aggregation strategy: {strategy!r}")

@@ -34,8 +34,6 @@ DEFAULT_TEMPERATURES = {
 #: The six reasons a model gets called.
 GENERATION_TAGS = tuple(DEFAULT_TEMPERATURES)
 
-DEFAULT_MAX_OUTPUT_TOKENS = 512
-
 #: Context window of the reference model profile.
 DEFAULT_CONTEXT_WINDOW = 8192
 
@@ -63,7 +61,6 @@ class GenerationRequest:
     system_text: str
     user_text: str
     temperature: float | None = None
-    max_output_tokens: int = DEFAULT_MAX_OUTPUT_TOKENS
     metadata: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:

@@ -13,6 +13,7 @@ from pathlib import Path
 from typing import Callable
 
 from fedprompt.backends.base import (
+    GENERATION_TAGS,
     Backend,
     BackendDescriptor,
     GenerationRequest,
@@ -21,6 +22,9 @@ from fedprompt.backends.base import (
 from fedprompt.errors import NoScriptMatch
 
 RuleFn = Callable[[GenerationRequest], "str | None"]
+
+#: The fields every script entry sets, in :meth:`MockBackend.add` order.
+_ENTRY_KEYS = ("tag", "user_text", "response")
 
 
 def _normalize(text: str) -> str:
@@ -46,6 +50,8 @@ class MockBackend(Backend):
     # -- script construction -------------------------------------------------
 
     def add(self, tag: str, user_text: str, response: str, match: str = "exact") -> None:
+        if tag not in GENERATION_TAGS:
+            raise ValueError(f"unknown generation tag: {tag!r}")
         key = _normalize(user_text)
         if match == "exact":
             self._exact[(tag, key)] = response
@@ -85,7 +91,7 @@ class MockBackend(Backend):
         return None
 
 
-def load_script(path: str | Path, descriptor: BackendDescriptor | None = None) -> MockBackend:
+def load_script(path: str | Path) -> MockBackend:
     """Build a :class:`MockBackend` from a JSON script file.
 
     The file holds a list of entries::
@@ -94,15 +100,18 @@ def load_script(path: str | Path, descriptor: BackendDescriptor | None = None) -
           "match": "exact"}]
 
     ``match`` defaults to ``"exact"``; ``"prefix"`` matches any request whose
-    normalized user text starts with the entry's text.
+    normalized user text starts with the entry's text. A file that is not
+    UTF-8 JSON of this shape raises :class:`ValueError` naming the file.
     """
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    backend = MockBackend(descriptor)
-    for entry in entries:
-        backend.add(
-            tag=entry["tag"],
-            user_text=entry["user_text"],
-            response=entry["response"],
-            match=entry.get("match", "exact"),
-        )
+    backend = MockBackend()
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(entries, list):
+            raise ValueError("the script must be a JSON list of entries")
+        for n, entry in enumerate(entries, start=1):
+            if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in _ENTRY_KEYS):
+                raise ValueError(f"entry {n} needs string fields {', '.join(_ENTRY_KEYS)}")
+            backend.add(*(entry[k] for k in _ENTRY_KEYS), match=entry.get("match", "exact"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors too
+        raise ValueError(f"script {path}: {exc}") from exc
     return backend

@@ -31,6 +31,12 @@ from fedprompt.errors import BackendError, ContextWindowExceeded, TransportFailu
 
 MAX_ATTEMPTS = 5
 
+#: Seconds one post may take before it counts as a transport error.
+TIMEOUT_S = 60.0
+
+#: The ``max_tokens`` every chat-completions payload asks for.
+MAX_OUTPUT_TOKENS = 512
+
 _CHAT_PATH = "/chat/completions"
 
 
@@ -136,7 +142,7 @@ class RemoteBackend(Backend):
     by the local n-gram oracle.
 
     Responses come from one store with two layers. A temperature-0 chat
-    request whose exact content was already answered is served from memory
+    request whose texts match one already answered is served from memory
     (source ``"memo"``, no cost, no exchange); every other request goes to
     the cassette (replay) or the endpoint. Concurrent identical greedy
     requests wait for the first one instead of issuing their own, and a
@@ -156,7 +162,6 @@ class RemoteBackend(Backend):
         session: requests.Session | None = None,
         backoff_base: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
-        timeout: float = 60.0,
     ):
         if descriptor.kind != "remote":
             raise ValueError("RemoteBackend needs a descriptor with kind='remote'")
@@ -171,9 +176,8 @@ class RemoteBackend(Backend):
         self._created: list[requests.Session] = []
         self.backoff_base = backoff_base
         self.sleep = sleep
-        self.timeout = timeout
-        self._memo: dict[tuple, GenerationResult] = {}
-        self._in_flight: set[tuple] = set()
+        self._memo: dict[tuple[str, str], GenerationResult] = {}
+        self._in_flight: set[tuple[str, str]] = set()
         self._memo_lock = threading.Lock()
         self._memo_changed = threading.Condition(self._memo_lock)
 
@@ -215,7 +219,7 @@ class RemoteBackend(Backend):
             wait = None
             try:
                 resp = self.session.post(
-                    self._base_url + _CHAT_PATH, json=payload, headers=self._headers, timeout=self.timeout
+                    self._base_url + _CHAT_PATH, json=payload, headers=self._headers, timeout=TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_reason = f"transport error: {exc}"
@@ -239,8 +243,7 @@ class RemoteBackend(Backend):
             if attempt < MAX_ATTEMPTS:
                 self.sleep(self.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
         raise TransportFailure(
-            f"giving up on {_CHAT_PATH} after {MAX_ATTEMPTS} attempts ({last_reason})",
-            attempts=MAX_ATTEMPTS,
+            f"giving up on {_CHAT_PATH} after {MAX_ATTEMPTS} attempts ({last_reason})"
         )
 
     # -- backend interface -----------------------------------------------------
@@ -250,13 +253,7 @@ class RemoteBackend(Backend):
         source = "cassette" if replaying else "live"
         if request.temperature != 0:
             return self._generate(request), source
-        key = (
-            self.descriptor.model_id,
-            request.system_text,
-            request.user_text,
-            request.temperature,
-            request.max_output_tokens,
-        )
+        key = (request.system_text, request.user_text)  # one model, one temperature, one output limit
         result = self._memo.get(key)  # a hit needs no lock: entries are never replaced
         if result is not None:
             return result, "memo"
@@ -285,7 +282,7 @@ class RemoteBackend(Backend):
                 {"role": "user", "content": request.user_text},
             ],
             "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         response = self._exchange(payload)
         try:

