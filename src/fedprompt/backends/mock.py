@@ -8,7 +8,6 @@ silently absorbing a canned reply.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable
 
@@ -19,7 +18,8 @@ from fedprompt.backends.base import (
     GenerationRequest,
     GenerationResult,
 )
-from fedprompt.errors import NoScriptMatch
+from fedprompt.errors import ConfigError, NoScriptMatch
+from fedprompt.inputs import fault, read_json
 
 RuleFn = Callable[[GenerationRequest], "str | None"]
 
@@ -101,17 +101,17 @@ def load_script(path: str | Path) -> MockBackend:
 
     ``match`` defaults to ``"exact"``; ``"prefix"`` matches any request whose
     normalized user text starts with the entry's text. A file that is not
-    UTF-8 JSON of this shape raises :class:`ValueError` naming the file.
+    UTF-8 JSON of this shape raises :class:`ConfigError` naming the file.
     """
     backend = MockBackend()
+    entries = read_json(path, ConfigError, "mock script")
     try:
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(entries, list):
-            raise ValueError("the script must be a JSON list of entries")
+            raise ValueError("not a JSON list of entries")
         for n, entry in enumerate(entries, start=1):
             if not isinstance(entry, dict) or not all(isinstance(entry.get(k), str) for k in _ENTRY_KEYS):
                 raise ValueError(f"entry {n} needs string fields {', '.join(_ENTRY_KEYS)}")
             backend.add(*(entry[k] for k in _ENTRY_KEYS), match=entry.get("match", "exact"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors too
-        raise ValueError(f"script {path}: {exc}") from exc
+    except ValueError as exc:  # a shape check, here or in MockBackend.add
+        raise fault(ConfigError, "mock script", path, str(exc)) from exc
     return backend

@@ -28,6 +28,7 @@ from fedprompt.backends.base import (
     ordered_write,
 )
 from fedprompt.errors import BackendError, ContextWindowExceeded, TransportFailure
+from fedprompt.inputs import end_torn_tail, fault, read_jsonl
 
 MAX_ATTEMPTS = 5
 
@@ -79,6 +80,10 @@ class Cassette:
     :func:`request_hash` hashes. Recording keeps one append handle open and
     flushes it after every line, so a killed process keeps every committed
     line; :meth:`close` closes the handle, and a later line reopens it.
+    A last line without its newline is kept if it parses and is otherwise a
+    killed recording's fragment: replay skips the fragment, and recording,
+    before its first append, cuts it off or ends the whole line. Replay
+    rejects a line whose ``request`` does not hash to its ``request_hash``.
     """
 
     def __init__(self, path: str | Path, mode: str = "replay"):
@@ -89,19 +94,17 @@ class Cassette:
         self._store: dict[str, deque[dict[str, Any]]] = {}
         self._write_lock = threading.Lock()
         self._file: IO[str] | None = None
-        if mode == "replay":
-            self._load()
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            raise BackendError(f"cassette not found: {self.path}")
-        with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
+        if mode == "record":
+            end_torn_tail(self.path)
+            return
+        for n, entry in read_jsonl(path, BackendError, "cassette", skip_torn_tail=True):
+            if not (isinstance(entry, dict) and isinstance(entry.get("request_hash"), str)
+                    and isinstance(entry.get("request"), dict) and isinstance(entry.get("response"), dict)):
+                raise fault(BackendError, "cassette", path,
+                            "needs a string request_hash, an object request and an object response", n)
+            if request_hash(entry["request"]) != entry["request_hash"]:
+                raise fault(BackendError, "cassette", path, "request_hash is not the hash of its request", n)
+            self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
 
     def record(self, payload: dict[str, Any], response: dict[str, Any]) -> None:
         canonical, digest = _canonical(payload)
@@ -126,9 +129,7 @@ class Cassette:
         try:
             return self._store[key].popleft()
         except (KeyError, IndexError):
-            raise BackendError(
-                f"cassette {self.path} has no response left for request hash {key[:12]}…"
-            ) from None
+            raise fault(BackendError, "cassette", self.path, f"no response left for request {key[:12]}…") from None
 
 
 class RemoteBackend(Backend):

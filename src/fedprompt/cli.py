@@ -11,13 +11,11 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import hashlib
 import inspect
 import json
 import shutil
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -34,17 +32,17 @@ from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.rules import counting_rule_backend
 from fedprompt.errors import ConfigError, FedPromptError
+from fedprompt.inputs import BUNDLED, read_json, read_text
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import RunConfig, RunReport, run
 from fedprompt.tasks import (
     DEFAULT_SPLIT_RATIOS,
     FederatedData,
-    TaskExample,
     build_federated_data,
     load_dataset,
     score,
 )
-from fedprompt.templates import Templates, default_templates
+from fedprompt.templates import Templates
 from fedprompt.uid import SurprisalStats, compare_uniformity, scored_series, uid_stats
 
 CATEGORY_BY_CODE = {
@@ -121,8 +119,6 @@ _DESCRIBED = ("model_id", "context_window", "usd_per_1k_prompt_tokens", "usd_per
 
 def _mock_backend(spec: dict[str, Any]) -> Backend:
     script = _coerce("backend.script", spec.get("script"), None)
-    if script and not Path(script).is_file():
-        raise ConfigError(f"mock script not found: {script}")
     backend = load_script(script) if script else counting_rule_backend()
     backend.descriptor = dataclasses.replace(
         backend.descriptor, **_spec_args(spec, BackendDescriptor, *_DESCRIBED)
@@ -173,54 +169,18 @@ def build_backend(spec: dict[str, Any]) -> Backend:
             raise ConfigError(f"unknown config key: {'backend.' + key!r}")
     try:
         return build(spec)
-    except ValueError as exc:  # a constructor rejected a value of the spec
+    except (ValueError, OSError) as exc:  # a constructor rejected a value of the spec, or a file it names
         raise ConfigError(f"{kind} backend: {exc}") from exc
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _read_text_file(path: str, what: str) -> str:
-    """The text of an input file; a missing or non-UTF-8 file is a :class:`ConfigError`."""
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"{what} file not found: {path}")
-    try:
-        return p.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{what} file is not UTF-8 text: {path}: {exc}") from exc
-
-
-def _load_templates(path: str | None) -> tuple[Templates, str | None, str]:
-    """Templates plus (path or None for bundled) and content hash."""
-    if path:
-        p = Path(path)
-        if not p.is_file():
-            raise ConfigError(f"template file not found: {path}")
-        return Templates.from_file(p), str(p), _sha256_file(p)
-    bundled = resources.files("fedprompt").joinpath("data/templates.json")
-    digest = hashlib.sha256(bundled.read_bytes()).hexdigest()
-    return default_templates(), None, digest
 
 
 def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, str]]:
     """Load the run's datasets (bundled demo when none given) and build the partition."""
     paths = settings["datasets"]
     hashes: dict[str, str] = {}
-    examples: list[TaskExample] = []
-    if not paths:
-        bundled = resources.files("fedprompt").joinpath(f"data/{_BUNDLED_DATASET}.jsonl")
-        hashes[f"bundled:{_BUNDLED_DATASET}"] = hashlib.sha256(bundled.read_bytes()).hexdigest()
-        with resources.as_file(bundled) as p:
-            examples = load_dataset(p, _BUNDLED_DATASET)
-    else:
-        for path in paths:
-            p = Path(path)
-            if not p.is_file():
-                raise ConfigError(f"dataset path not found: {path}")
-            hashes[str(p)] = _sha256_file(p)
-            examples.extend(load_dataset(p, p.stem))
+    sources = [Path(p) for p in paths] or [BUNDLED / f"{_BUNDLED_DATASET}.jsonl"]
+    examples = [ex for path in sources for ex in load_dataset(path, digests=hashes)]
+    if not paths:  # named as bundled, not by where the package is installed
+        hashes = {f"bundled:{_BUNDLED_DATASET}": digest for digest in hashes.values()}
     try:
         data = build_federated_data(
             examples,
@@ -241,17 +201,11 @@ def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, s
 _NOT_SETTINGS = ("command", "config", "func")
 
 
-def _read_config(path_text: str) -> dict[str, Any]:
-    path = Path(path_text)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path_text}")
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+def _read_config(path: str) -> dict[str, Any]:
+    raw = read_json(path, ConfigError, "config")
     if isinstance(raw, dict) and isinstance(raw.get("config"), dict) and "artifact_version" in raw:
         raw = raw["config"]  # a manifest.json doubles as a config file
-    return _coerce("the config file", raw, {})
+    return _coerce(f"config file {path}", raw, {})
 
 
 def _resolve_run_settings(args: argparse.Namespace) -> dict[str, Any]:
@@ -340,8 +294,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = RunConfig(**{f.name: settings[f.name] for f in dataclasses.fields(RunConfig)})
     cfg.validate()
 
-    templates, templates_path, templates_hash = _load_templates(settings["templates_path"])
-    settings["templates_path"] = templates_path
+    digests: dict[str, str] = {}
+    templates = Templates.from_file(settings["templates_path"] or BUNDLED / "templates.json", digests)
+    (templates_hash,) = digests.values()
     data, hashes = _load_datasets(settings)
     backend = build_backend(settings["backend"])
     cfg.validate(data)
@@ -373,9 +328,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
-    texts = [_read_text_file(path, "prompt").rstrip("\n") for path in args.prompt_files]
+    texts = [read_text(path, ConfigError, "prompt").rstrip("\n") for path in args.prompt_files]
     backend = build_backend({"kind": "mock", "script": args.script})
-    templates, _, _ = _load_templates(args.templates)
+    templates = Templates.from_file(args.templates or BUNDLED / "templates.json")
     agg_input = AggregationInput(
         prompts=[(i, PromptState(text=t)) for i, t in enumerate(texts)],
         separator=args.separator,
@@ -405,10 +360,10 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 
 
 def cmd_surprisal(args: argparse.Namespace) -> int:
-    texts = [_read_text_file(args.text, "text").strip()]
-    corpus = [line for line in _read_text_file(args.corpus, "corpus").strip().splitlines() if line.strip()]
+    texts = [read_text(args.text, ConfigError, "text").strip()]
+    corpus = [line for line in read_text(args.corpus, ConfigError, "corpus").strip().splitlines() if line.strip()]
     if args.compare:
-        texts.append(_read_text_file(args.compare, "comparison text").strip())
+        texts.append(read_text(args.compare, ConfigError, "comparison text").strip())
     params = {key: getattr(args, key) for key in ("order", "alpha") if getattr(args, key) is not None}
     try:
         oracle = NgramBackend(corpus, **params)
@@ -450,11 +405,8 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    prompt_text = _read_text_file(args.prompt, "prompt").strip()
-    p = Path(args.dataset)
-    if not p.is_file():
-        raise ConfigError(f"dataset path not found: {args.dataset}")
-    examples = load_dataset(p, p.stem)
+    prompt_text = read_text(args.prompt, ConfigError, "prompt").strip()
+    examples = load_dataset(args.dataset)
     backend = build_backend({"kind": "mock", "script": args.script})
     report = score(prompt_text, examples, backend)
     print(f"accuracy: {report.accuracy:.2f}")

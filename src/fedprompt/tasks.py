@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from dataclasses import dataclass, field
@@ -14,12 +13,12 @@ from typing import Any, Iterable
 
 from fedprompt.backends.base import Backend, GenerationRequest
 from fedprompt.errors import (
-    DatasetError,
     DuplicateId,
     ExtractionFailure,
     ParseError,
     TooManyClients,
 )
+from fedprompt.inputs import fault, read_jsonl
 
 DEFAULT_SPLIT_RATIOS = (0.6, 0.2, 0.2)
 
@@ -37,7 +36,6 @@ class Partition:
     """Assignment of training example ids to clients."""
 
     assignments: dict[int, list[str]]
-    mode: str  # "homogeneous" | "heterogeneous"
 
 
 @dataclass
@@ -57,48 +55,31 @@ class FederatedData:
         return [self.by_id[i] for i in self.partition.assignments[client_id]]
 
 
-def load_dataset(path: str | Path, task_name: str = "") -> list[TaskExample]:
-    """Load a JSONL task file.
+def load_dataset(path: str | Path, task_name: str = "", digests: dict[str, str] | None = None) -> list[TaskExample]:
+    """Load a JSONL task file (see :func:`~fedprompt.inputs.read_json` for ``digests``).
 
     Each line holds ``{id?, question|input, answer|target}``. Missing ids are
     synthesized from line numbers. Answers carrying the ``#### N`` final-answer
     convention are reduced to the part after the last ``####``.
     """
-    path = Path(path)
-    task_name = task_name or path.stem
+    task_name = task_name or Path(str(path)).stem
+    bad = partial(fault, ParseError, "dataset", path)
     examples: list[TaskExample] = []
     seen: set[str] = set()
-    try:
-        # split on "\n" only, as iterating the file does: a JSON string may hold U+2028
-        lines = path.read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"dataset file is not UTF-8 text: {path}: {exc}") from exc
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except ValueError as exc:
-            raise ParseError(f"line {line_no} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ParseError(f"line {line_no} is not an object")
+    for line_no, raw in read_jsonl(path, ParseError, "dataset", digests):
+        raw = raw if isinstance(raw, dict) else {}
         question = raw.get("question", raw.get("input"))
         answer = raw.get("answer", raw.get("target"))
         if question is None or answer is None:
-            raise ParseError(f"line {line_no} lacks a question/input or answer/target field")
-        answer = str(answer)
-        if "####" in answer:
-            answer = answer.rsplit("####", 1)[1]
-        answer = answer.strip().replace(",", "")
+            raise bad("needs an object with a question/input and an answer/target field", line_no)
+        answer = str(answer).rsplit("####", 1)[-1].strip().replace(",", "")
         if not str(question).strip() or not answer:
-            raise ParseError(f"line {line_no} has an empty question or answer")
+            raise bad("has an empty question or answer", line_no)
         ex_id = str(raw.get("id") or f"{task_name}:{line_no}")
         if ex_id in seen:
-            raise DuplicateId(f"duplicate example id {ex_id!r} at line {line_no}")
+            raise fault(DuplicateId, "dataset", path, f"duplicate example id {ex_id!r}", line_no)
         seen.add(ex_id)
-        examples.append(
-            TaskExample(id=ex_id, question=str(question), answer=answer, task_name=task_name)
-        )
+        examples.append(TaskExample(id=ex_id, question=str(question), answer=answer, task_name=task_name))
     return examples
 
 
@@ -152,7 +133,7 @@ def partition_homogeneous(train: list[TaskExample], n_clients: int, seed: int = 
     ids = [ex.id for ex in train]
     Random(f"{seed}:partition").shuffle(ids)
     assignments = {cid: ids[cid::n_clients] for cid in range(n_clients)}
-    return Partition(assignments=assignments, mode="homogeneous")
+    return Partition(assignments=assignments)
 
 
 def partition_heterogeneous(datasets_by_task: dict[str, list[TaskExample]]) -> Partition:
@@ -164,7 +145,7 @@ def partition_heterogeneous(datasets_by_task: dict[str, list[TaskExample]]) -> P
         if impure:
             raise ValueError(f"client {cid} holds examples from other tasks: {impure[:3]}")
         assignments[cid] = [ex.id for ex in rows]
-    return Partition(assignments=assignments, mode="heterogeneous")
+    return Partition(assignments=assignments)
 
 
 def build_federated_data(

@@ -8,13 +8,12 @@ here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from importlib import resources
 from pathlib import Path
 
 from fedprompt.errors import ConfigError
+from fedprompt.inputs import BUNDLED, fault, read_json
 
 TGD_ANCHOR = "Below are the criticisms on"
 
@@ -47,26 +46,20 @@ class Templates:
                 raise ConfigError(f"{name} must contain the placeholder {{prompts}}")
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "Templates":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read template file {path}: {exc}") from exc
-        return cls.from_dict(raw, source=str(path))
+    def from_file(cls, path: str | Path, digests: dict[str, str] | None = None) -> "Templates":
+        """Templates from a JSON file; with ``digests``, its sha256 is stored under its path."""
+        return cls.from_dict(read_json(path, ConfigError, "template", digests), source=str(path))
 
     @classmethod
-    def from_dict(cls, raw: dict, source: str = "<dict>") -> "Templates":
+    def from_dict(cls, raw: object, source: str = "<dict>") -> "Templates":
         names = [f.name for f in fields(cls)]
-        missing = [n for n in names if n not in raw]
-        if missing:
-            raise ConfigError(f"template file {source} is missing keys: {', '.join(missing)}")
+        wrong = [n for n in names if not (isinstance(raw, dict) and isinstance(raw.get(n), str))]
+        if wrong:
+            raise fault(ConfigError, "template", source, f"needs a JSON object with string keys {', '.join(wrong)}")
         return cls(**{n: raw[n] for n in names})
 
 
 @lru_cache(maxsize=1)
 def default_templates() -> Templates:
     """The templates bundled with the package."""
-    raw = json.loads(
-        resources.files("fedprompt").joinpath("data/templates.json").read_text(encoding="utf-8")
-    )
-    return Templates.from_dict(raw, source="bundled templates.json")
+    return Templates.from_file(BUNDLED / "templates.json")

@@ -29,6 +29,7 @@ from fedprompt.backends.ngram import UNK, NgramBackend
 from fedprompt.backends.remote import MAX_OUTPUT_TOKENS, Cassette, RemoteBackend, request_hash
 from fedprompt.errors import (
     BackendError,
+    ConfigError,
     ContextWindowExceeded,
     FedPromptError,
     NoScriptMatch,
@@ -705,8 +706,96 @@ class TestCassette:
             backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x"))
 
     def test_replay_of_missing_file_is_an_error(self, tmp_path):
-        with pytest.raises(BackendError):
-            Cassette(tmp_path / "absent.jsonl", mode="replay")
+        path = tmp_path / "absent.jsonl"
+        with pytest.raises(ConfigError) as excinfo:
+            Cassette(path, mode="replay")
+        assert str(excinfo.value) == f"cassette file not found: {path}"
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("[1]", "needs a string request_hash, an object request and an object response"),
+            ("5", "needs a string request_hash, an object request and an object response"),
+            ('{"request_hash": "x"}', "needs a string request_hash, an object request and an object response"),
+            ('{"response": {}}', "needs a string request_hash, an object request and an object response"),
+            ('{"request_hash": 1, "request": {}, "response": {}}',
+             "needs a string request_hash, an object request and an object response"),
+            ('{"request_hash": "x", "request": {}, "response": []}',
+             "needs a string request_hash, an object request and an object response"),
+            ('{"request_hash": "x", "request": {}, "response": {}}', "request_hash is not the hash of its request"),
+            ("{broken", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ],
+        ids=["list", "number", "no-request", "no-hash", "hash-not-a-string", "response-not-an-object", "wrong-hash",
+             "not-json"],
+    )
+    def test_a_bad_line_is_an_error_naming_the_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "exchange.jsonl"
+        path.write_text("\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(BackendError) as excinfo:
+            Cassette(path, mode="replay")
+        assert str(excinfo.value) == f"cassette file {path} line 2: {problem}"
+
+    def test_a_line_whose_request_was_edited_is_not_served(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        session = _FakeSession([_FakeResponse(200, _chat_payload("recorded"))])
+        recorder = _remote(session, cassette=Cassette(path, mode="record"))
+        recorder.generate(GenerationRequest(tag="forward", system_text="s", user_text="u"))
+        recorder.close()
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        entry["request"]["messages"][1]["content"] = "edited"
+        path.write_text(json.dumps(entry) + "\n", encoding="utf-8")
+        with pytest.raises(BackendError) as excinfo:
+            Cassette(path, mode="replay")
+        assert str(excinfo.value) == f"cassette file {path} line 1: request_hash is not the hash of its request"
+
+    def test_a_torn_last_line_is_cut_before_recording_and_skipped_on_replay(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        texts = ["first", "second", "third"]
+        requests = [GenerationRequest(tag="forward", system_text="s", user_text=f"u{i}") for i in range(3)]
+        recorder = _remote(_FakeSession([_FakeResponse(200, _chat_payload(t)) for t in texts[:2]]),
+                           cassette=Cassette(path, mode="record"))
+        for request in requests[:2]:
+            recorder.generate(request)
+        recorder.close()
+        whole = path.read_bytes()
+        second = whole.splitlines(keepends=True)[1]
+        path.write_bytes(whole[: len(whole) - len(second) + 30])  # a killed recorder's fragment
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert replayer.generate(requests[0]).text == "first"
+        with pytest.raises(BackendError, match="no response left"):
+            replayer.generate(requests[1])
+
+        recorder = _remote(_FakeSession([_FakeResponse(200, _chat_payload(t)) for t in texts[1:]]),
+                           cassette=Cassette(path, mode="record"))
+        for request in requests[1:]:
+            recorder.generate(request)
+        recorder.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["response"]["choices"][0]["message"]["content"] for line in lines] == texts
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert [replayer.generate(request).text for request in requests] == texts
+
+    def test_a_whole_last_line_without_its_newline_is_kept(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        texts = ["first", "second", "third"]
+        requests = [GenerationRequest(tag="forward", system_text="s", user_text=f"u{i}") for i in range(3)]
+        recorder = _remote(_FakeSession([_FakeResponse(200, _chat_payload(t)) for t in texts[:2]]),
+                           cassette=Cassette(path, mode="record"))
+        for request in requests[:2]:
+            recorder.generate(request)
+        recorder.close()
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))  # as "\n".join(lines) or an editor leaves it
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert [replayer.generate(request).text for request in requests[:2]] == texts[:2]
+
+        recorder = _remote(_FakeSession([_FakeResponse(200, _chat_payload(texts[2]))]),
+                           cassette=Cassette(path, mode="record"))
+        recorder.generate(requests[2])
+        recorder.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["response"]["choices"][0]["message"]["content"] for line in lines] == texts
+        replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
+        assert [replayer.generate(request).text for request in requests] == texts
 
     def test_repeated_requests_replay_in_recorded_order(self, tmp_path):
         path = tmp_path / "exchange.jsonl"

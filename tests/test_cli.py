@@ -84,6 +84,8 @@ class _DyingSession(LatencySession):
 
 
 _ENDPOINT = "http://127.0.0.1:9/v1"
+#: ``run`` flags that replay the cassette named by the next argument
+_REPLAY = ("--backend", "remote", "--endpoint", _ENDPOINT, "--cassette-mode", "replay", "--cassette")
 
 
 def _lines(out: Path, name: str) -> list[str]:
@@ -415,13 +417,14 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "content, problem",
         [
-            (b"\xe4[]", "'utf-8' codec can't decode byte 0xe4"),
-            (b"[{", "Expecting property name"),
-            (b'{"tag": "forward", "user_text": "q", "response": "Answer: 1"}', "the script must be a JSON list"),
-            (b'[{"user_text": "q", "response": "Answer: 1"}]', "entry 1 needs string fields tag, user_text, response"),
-            (b'[{"tag": "forward", "response": "Answer: 1"}]', "entry 1 needs string fields"),
-            (b'[{"tag": "forward", "user_text": "q"}]', "entry 1 needs string fields"),
-            (b'[{"tag": "forwrd", "user_text": "q", "response": "Answer: 1"}]', "unknown generation tag: 'forwrd'"),
+            (b"\xe4[]", " line 1: not UTF-8 text: 'utf-8' codec can't decode byte 0xe4"),
+            (b"[{", ": not valid JSON: Expecting property name"),
+            (b'{"tag": "forward", "user_text": "q", "response": "Answer: 1"}', ": not a JSON list of entries"),
+            (b'[{"user_text": "q", "response": "Answer: 1"}]',
+             ": entry 1 needs string fields tag, user_text, response"),
+            (b'[{"tag": "forward", "response": "Answer: 1"}]', ": entry 1 needs string fields"),
+            (b'[{"tag": "forward", "user_text": "q"}]', ": entry 1 needs string fields"),
+            (b'[{"tag": "forwrd", "user_text": "q", "response": "Answer: 1"}]', ": unknown generation tag: 'forwrd'"),
         ],
         ids=["not-utf8", "not-json", "not-a-list", "no-tag", "no-user-text", "no-response", "unknown-tag"],
     )
@@ -433,8 +436,7 @@ class TestRunCommand:
         (line,) = capsys.readouterr().err.splitlines()
         payload = json.loads(line)
         assert (payload["error"], payload["category"]) == ("ConfigError", "config")
-        assert payload["message"].startswith(f"mock backend: script {script}: ")
-        assert problem in payload["message"]
+        assert payload["message"].startswith(f"mock script file {script}{problem}")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flags", "config-file"])
@@ -640,6 +642,10 @@ class TestAggregateCommand:
         files = self._prompt_files(tmp_path, ["alpha one", "beta two"])
         assert main(["aggregate", *files, "--strategy", "concat"]) == 0
         assert capsys.readouterr().out == "alpha one\n\nbeta two\n"
+        Path(files[0]).write_bytes(b"alpha\r\none\r\n")  # Windows and classic Mac OS line endings read as "\n"
+        Path(files[1]).write_bytes(b"beta\rtwo\r")
+        assert main(["aggregate", *files, "--strategy", "concat"]) == 0
+        assert capsys.readouterr().out == "alpha\none\n\nbeta\ntwo\n"
 
     def test_dynamic_notes_branch_on_stderr(self, tmp_path, capsys):
         files = self._prompt_files(tmp_path, ["short alpha", "short beta"])
@@ -833,13 +839,15 @@ class TestScoreCommand:
     "argv, message",
     [
         (["run", "--config", "{dir}"], "config file not found: {dir}"),
-        (["run", "--dataset", "{dir}", "--out", "{out}"], "dataset path not found: {dir}"),
-        (["run", "--script", "{dir}", "--out", "{out}"], "mock script not found: {dir}"),
+        (["run", "--dataset", "{dir}", "--out", "{out}"], "dataset file not found: {dir}"),
+        (["run", "--script", "{dir}", "--out", "{out}"], "mock script file not found: {dir}"),
         (["run", "--templates", "{dir}", "--out", "{out}"], "template file not found: {dir}"),
-        (["score", "--prompt", "{file}", "--dataset", "{dir}"], "dataset path not found: {dir}"),
+        (["run", *_REPLAY, "{dir}", "--out", "{out}"], "cassette file not found: {dir}"),
+        (["score", "--prompt", "{file}", "--dataset", "{dir}"], "dataset file not found: {dir}"),
         (["aggregate", "{file}", "{dir}", "--strategy", "concat"], "prompt file not found: {dir}"),
     ],
-    ids=["run-config", "run-dataset", "run-script", "run-templates", "score-dataset", "aggregate-prompt"],
+    ids=["run-config", "run-dataset", "run-script", "run-templates", "run-cassette", "score-dataset",
+         "aggregate-prompt"],
 )
 def test_a_directory_given_as_an_input_file_is_config_error(tmp_path, capsys, argv, message):
     paths = {"dir": str(tmp_path), "out": str(tmp_path / "out"), "file": str(tmp_path / "prompt.txt")}
@@ -853,22 +861,23 @@ def test_a_directory_given_as_an_input_file_is_config_error(tmp_path, capsys, ar
 @pytest.mark.parametrize(
     "argv, error, code",
     [
-        (["surprisal", "--text", "{bad}", "--corpus", "{file}"], "text file is not UTF-8 text: {bad}: ", 2),
-        (["surprisal", "--text", "{file}", "--corpus", "{bad}"], "corpus file is not UTF-8 text: {bad}: ", 2),
+        (["surprisal", "--text", "{bad}", "--corpus", "{file}"], "text file {bad} line 1: not UTF-8 text: ", 2),
+        (["surprisal", "--text", "{file}", "--corpus", "{bad}"], "corpus file {bad} line 1: not UTF-8 text: ", 2),
         (
             ["surprisal", "--text", "{file}", "--corpus", "{file}", "--compare", "{bad}"],
-            "comparison text file is not UTF-8 text: {bad}: ",
+            "comparison text file {bad} line 1: not UTF-8 text: ",
             2,
         ),
-        (["aggregate", "{file}", "{bad}", "--strategy", "concat"], "prompt file is not UTF-8 text: {bad}: ", 2),
-        (["score", "--prompt", "{bad}", "--dataset", "{dataset}"], "prompt file is not UTF-8 text: {bad}: ", 2),
-        (["score", "--prompt", "{file}", "--dataset", "{bad}"], "dataset file is not UTF-8 text: {bad}: ", 6),
-        (["run", "--dataset", "{bad}", "--out", "{out}"], "dataset file is not UTF-8 text: {bad}: ", 6),
-        (["run", "--script", "{bad}", "--out", "{out}"], "mock backend: script {bad}: ", 2),
-        (["run", "--templates", "{bad}", "--out", "{out}"], "cannot read template file {bad}: ", 2),
+        (["aggregate", "{file}", "{bad}", "--strategy", "concat"], "prompt file {bad} line 1: not UTF-8 text: ", 2),
+        (["score", "--prompt", "{bad}", "--dataset", "{dataset}"], "prompt file {bad} line 1: not UTF-8 text: ", 2),
+        (["score", "--prompt", "{file}", "--dataset", "{bad}"], "dataset file {bad} line 1: not UTF-8 text: ", 6),
+        (["run", "--dataset", "{bad}", "--out", "{out}"], "dataset file {bad} line 1: not UTF-8 text: ", 6),
+        (["run", "--script", "{bad}", "--out", "{out}"], "mock script file {bad} line 1: not UTF-8 text: ", 2),
+        (["run", "--templates", "{bad}", "--out", "{out}"], "template file {bad} line 1: not UTF-8 text: ", 2),
+        (["run", *_REPLAY, "{bad}", "--out", "{out}"], "cassette file {bad} line 1: not UTF-8 text: ", 3),
     ],
     ids=["surprisal-text", "surprisal-corpus", "surprisal-compare", "aggregate-prompt", "score-prompt",
-         "score-dataset", "run-dataset", "run-script", "run-templates"],
+         "score-dataset", "run-dataset", "run-script", "run-templates", "run-cassette"],
 )
 def test_an_input_file_that_is_not_utf8_exits_with_its_documented_code(tmp_path, capsys, argv, error, code):
     paths = {"bad": str(tmp_path / "latin1.txt"), "file": str(tmp_path / "prompt.txt"),
@@ -880,7 +889,7 @@ def test_an_input_file_that_is_not_utf8_exits_with_its_documented_code(tmp_path,
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     payload = json.loads(line)
-    assert payload["category"] == {2: "config", 6: "dataset"}[code]
+    assert payload["category"] == {2: "config", 3: "backend", 6: "dataset"}[code]
     assert payload["message"].startswith(error.format(**paths)) and "can't decode byte 0xe4" in payload["message"]
     assert not (tmp_path / "out").exists()
 

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from fedprompt.backends.base import GENERATION_TAGS
@@ -263,6 +266,28 @@ class TestTemplates:
         path.write_text("{}")
         with pytest.raises(ConfigError):
             Templates.from_file(path)
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ("5", "needs a JSON object with string keys " + ", ".join(asdict(default_templates()))),
+            ("null", "needs a JSON object with string keys " + ", ".join(asdict(default_templates()))),
+            ("[]", "needs a JSON object with string keys " + ", ".join(asdict(default_templates()))),
+            ("{]", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+            ({"tgd_template": 5}, "needs a JSON object with string keys tgd_template"),
+            ({"summarize_template": []}, "needs a JSON object with string keys summarize_template"),
+        ],
+    )
+    def test_a_template_file_of_the_wrong_shape_is_an_error_naming_it(self, tmp_path, content, problem):
+        from fedprompt.errors import ConfigError
+
+        if isinstance(content, dict):  # keys of the bundled templates replaced
+            content = json.dumps({**asdict(default_templates()), **content})
+        path = tmp_path / "templates.json"
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ConfigError) as excinfo:
+            Templates.from_file(path)
+        assert str(excinfo.value) == f"template file {path}: {problem}"
 
     def test_tgd_template_anchor_enforced(self):
         from dataclasses import asdict

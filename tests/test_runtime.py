@@ -417,7 +417,7 @@ class TestRun:
             train=examples,
             val=[],
             test=examples[:2],
-            partition=Partition(assignments={0: [ex.id for ex in examples]}, mode="homogeneous"),
+            partition=Partition(assignments={0: [ex.id for ex in examples]}),
         )
         with pytest.raises(ConfigError):
             run(RunConfig(num_clients=1), data, counting_rule_backend())

@@ -62,7 +62,7 @@ class TestLoadDataset:
         path.write_text('{"question": "a?", "answer": "1"}\nnot json\n', encoding="utf-8")
         with pytest.raises(ParseError) as excinfo:
             load_dataset(path)
-        assert str(excinfo.value).startswith("line 2 is not valid JSON")
+        assert str(excinfo.value).startswith(f"dataset file {path} line 2: not valid JSON: ")
 
     def test_non_object_line_rejected(self, tmp_path):
         path = tmp_path / "arr.jsonl"
@@ -164,7 +164,6 @@ class TestPartitions:
 
     def test_manifest_shape(self):
         partition = partition_homogeneous(make_examples(4), 2, seed=0)
-        assert partition.mode == "homogeneous"
         assert set(partition.assignments) == {0, 1}
 
     def test_heterogeneous_clients_follow_task_order(self):
@@ -173,7 +172,6 @@ class TestPartitions:
             "arith": make_examples(3, task_name="arith"),
         }
         partition = partition_heterogeneous(by_task)
-        assert partition.mode == "heterogeneous"
         assert partition.assignments[0] == [ex.id for ex in by_task["arith"]]
         assert partition.assignments[1] == [ex.id for ex in by_task["zoo"]]
 
