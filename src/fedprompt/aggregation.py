@@ -68,6 +68,8 @@ def _summarize(
     final_instruction: str | None,
     uid: bool,
 ) -> PromptState:
+    """One call merging the numbered client prompts; ``uid`` adds the
+    uniform-information-density nudge to the request."""
     if agg_input.backend is None:
         raise ValueError("summarization strategies need a backend")
     templates = templates or default_templates()
@@ -92,24 +94,6 @@ def _summarize(
     return PromptState(text=merged, producer="summarize_uid" if uid else "summarize")
 
 
-def aggregate_summarize(
-    agg_input: AggregationInput,
-    templates: Templates | None = None,
-    final_instruction: str | None = None,
-) -> PromptState:
-    """One summarization call merging the numbered client prompts."""
-    return _summarize(agg_input, templates, final_instruction, uid=False)
-
-
-def aggregate_summarize_uid(
-    agg_input: AggregationInput,
-    templates: Templates | None = None,
-    final_instruction: str | None = None,
-) -> PromptState:
-    """Summarization with the uniform-information-density nudge in the request."""
-    return _summarize(agg_input, templates, final_instruction, uid=True)
-
-
 def aggregate_dynamic(
     agg_input: AggregationInput,
     threshold: int = DEFAULT_DYNAMIC_THRESHOLD,
@@ -124,7 +108,7 @@ def aggregate_dynamic(
     would_be = count_tokens(agg_input.concat_text())
     if would_be <= threshold:
         return aggregate_concat(agg_input)
-    return aggregate_summarize(agg_input, templates, final_instruction)
+    return _summarize(agg_input, templates, final_instruction, uid=False)
 
 
 STRATEGY_IDS = ("concat", "summarize", "summarize-uid", "dynamic")

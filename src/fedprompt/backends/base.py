@@ -134,8 +134,6 @@ class CallRecord:
     (an earlier identical greedy call; such a record costs nothing).
     """
 
-    index: int
-    tag: str
     request: GenerationRequest
     result: GenerationResult
     cost_usd: float
@@ -185,9 +183,7 @@ class CallLog:
         self, request: GenerationRequest, result: GenerationResult, cost_usd: float, source: str
     ) -> None:
         with self._lock:
-            self._records.append(
-                CallRecord(len(self._records), request.tag, request, result, cost_usd, source)
-            )
+            self._records.append(CallRecord(request, result, cost_usd, source))
             self._counts[request.tag] += 1
             if source != "memo":
                 self._issued[request.tag] += 1
@@ -199,7 +195,7 @@ class CallLog:
             return list(self._records)
 
     def tags(self) -> list[str]:
-        return [r.tag for r in self.records()]
+        return [r.request.tag for r in self.records()]
 
     def counts_by_tag(self) -> dict[str, int]:
         with self._lock:

@@ -61,7 +61,6 @@ class NgramBackend:
             raise ValueError("order must be >= 1")
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
-        self.model_id = f"ngram-{order}"
         self.order = order
         self.alpha = alpha
 
@@ -119,11 +118,6 @@ class NgramBackend:
         wid = self._id(word)
         ids = [self._id(t) for t in history[max(0, len(history) - (self.order - 1)) :]] + [wid]
         return self._probs(ids, len(ids) - 1)[0]
-
-    def logprob(self, word: str, history: Sequence[str] = ()) -> float:
-        """Natural-log probability; ``-inf`` when MLE assigns zero."""
-        p = self.prob(word, history)
-        return math.log(p) if p > 0 else float("-inf")
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:
         text_tokens = text.split()

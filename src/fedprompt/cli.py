@@ -374,7 +374,7 @@ def cmd_surprisal(args: argparse.Namespace) -> int:
             report = compare_uniformity(*texts, args.context, oracle)
         else:
             scored, series = scored_series(texts[0], args.context, oracle)
-            stats = SurprisalStats.from_series(series, lm_id=oracle.model_id)
+            stats = SurprisalStats.from_series(series)
     except ValueError as exc:  # alpha 0 gave a token probability 0, so infinite surprisal
         scores = (oracle.token_logprobs(args.context, t) for t in texts)
         token = next(tok for sc in scores for tok, lp in zip(sc.tokens, sc.logprobs) if lp == float("-inf"))

@@ -63,9 +63,9 @@ class RunConfig:
             raise ConfigError("initial_prompt must be non-empty")
         if data is None:
             return
-        if set(data.partition.assignments) != set(range(self.num_clients)):
+        if set(data.assignments) != set(range(self.num_clients)):
             raise ConfigError(
-                f"partition covers clients {sorted(data.partition.assignments)} "
+                f"partition covers clients {sorted(data.assignments)} "
                 f"but the run wants {self.num_clients} clients"
             )
         if not data.val or not data.test:

@@ -32,27 +32,20 @@ class TaskExample:
 
 
 @dataclass
-class Partition:
-    """Assignment of training example ids to clients."""
-
-    assignments: dict[int, list[str]]
-
-
-@dataclass
 class FederatedData:
-    """Splits plus the client partition of the training split."""
+    """Splits plus the client assignment of training example ids."""
 
     train: list[TaskExample]
     val: list[TaskExample]
     test: list[TaskExample]
-    partition: Partition
+    assignments: dict[int, list[str]]
     by_id: dict[str, TaskExample] = field(init=False)
 
     def __post_init__(self) -> None:
         self.by_id = {ex.id: ex for ex in self.train + self.val + self.test}
 
     def client_examples(self, client_id: int) -> list[TaskExample]:
-        return [self.by_id[i] for i in self.partition.assignments[client_id]]
+        return [self.by_id[i] for i in self.assignments[client_id]]
 
 
 def load_dataset(path: str | Path, task_name: str = "", digests: dict[str, str] | None = None) -> list[TaskExample]:
@@ -124,28 +117,15 @@ def split_dataset(
     }
 
 
-def partition_homogeneous(train: list[TaskExample], n_clients: int, seed: int = 0) -> Partition:
-    """Random equal split of the training examples across clients."""
+def partition_homogeneous(train: list[TaskExample], n_clients: int, seed: int = 0) -> dict[int, list[str]]:
+    """Random equal split of the training example ids across clients."""
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     if n_clients > len(train):
         raise TooManyClients(f"{n_clients} clients but only {len(train)} training examples")
     ids = [ex.id for ex in train]
     Random(f"{seed}:partition").shuffle(ids)
-    assignments = {cid: ids[cid::n_clients] for cid in range(n_clients)}
-    return Partition(assignments=assignments)
-
-
-def partition_heterogeneous(datasets_by_task: dict[str, list[TaskExample]]) -> Partition:
-    """One task per client, clients ordered by task name."""
-    assignments: dict[int, list[str]] = {}
-    for cid, task_name in enumerate(sorted(datasets_by_task)):
-        rows = datasets_by_task[task_name]
-        impure = [ex.id for ex in rows if ex.task_name != task_name]
-        if impure:
-            raise ValueError(f"client {cid} holds examples from other tasks: {impure[:3]}")
-        assignments[cid] = [ex.id for ex in rows]
-    return Partition(assignments=assignments)
+    return {cid: ids[cid::n_clients] for cid in range(n_clients)}
 
 
 def build_federated_data(
@@ -155,12 +135,14 @@ def build_federated_data(
     seed: int = 0,
     heterogeneous: bool = False,
 ) -> FederatedData:
-    """Split a dataset and partition its training half across clients.
+    """Split a dataset and assign its training ids to clients.
 
-    Homogeneous mode shuffles one pooled dataset. Heterogeneous mode groups
-    by task name — one task per client — while validation and test stay
-    pooled at the server.
+    Homogeneous mode splits one pooled group and shuffles its training ids
+    across the clients. Heterogeneous mode splits one group per task name,
+    and client *i* holds the training ids of the *i*-th task in name order.
+    Validation and test stay pooled at the server in both modes.
     """
+    groups = [examples]
     if heterogeneous:
         tasks = sorted({ex.task_name for ex in examples})
         if len(tasks) != n_clients:
@@ -168,24 +150,14 @@ def build_federated_data(
                 f"heterogeneous mode needs one task per client: {len(tasks)} tasks, "
                 f"{n_clients} clients"
             )
-        train: list[TaskExample] = []
-        val: list[TaskExample] = []
-        test: list[TaskExample] = []
-        train_by_task: dict[str, list[TaskExample]] = {}
-        for task_name in tasks:
-            rows = [ex for ex in examples if ex.task_name == task_name]
-            splits = split_dataset(rows, ratios, seed)
-            train_by_task[task_name] = splits["train"]
-            train += splits["train"]
-            val += splits["val"]
-            test += splits["test"]
-        partition = partition_heterogeneous(train_by_task)
-        return FederatedData(train=train, val=val, test=test, partition=partition)
-    splits = split_dataset(examples, ratios, seed)
-    partition = partition_homogeneous(splits["train"], n_clients, seed)
-    return FederatedData(
-        train=splits["train"], val=splits["val"], test=splits["test"], partition=partition
-    )
+        groups = [[ex for ex in examples if ex.task_name == task] for task in tasks]
+    splits = [split_dataset(rows, ratios, seed) for rows in groups]
+    train, val, test = ([ex for s in splits for ex in s[name]] for name in ("train", "val", "test"))
+    if heterogeneous:
+        assignments = {cid: [ex.id for ex in s["train"]] for cid, s in enumerate(splits)}
+    else:
+        assignments = partition_homogeneous(train, n_clients, seed)
+    return FederatedData(train=train, val=val, test=test, assignments=assignments)
 
 
 # -- answer extraction and scoring ----------------------------------------------
@@ -240,7 +212,7 @@ class ScoreReport:
 
 
 def score(
-    prompt: "str | Any",
+    prompt_text: str,
     examples: list[TaskExample],
     backend: Backend,
     metadata: dict[str, Any] | None = None,
@@ -253,7 +225,6 @@ def score(
     """
     if not examples:
         raise ValueError("score needs at least one example")
-    prompt_text = getattr(prompt, "text", prompt)
 
     def answer(ex: TaskExample) -> str:
         return backend.generate(

@@ -21,8 +21,6 @@ _LN2 = math.log(2.0)
 class Scorer(Protocol):
     """A reference model the metrics can score text under, such as the n-gram oracle."""
 
-    model_id: str
-
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs: ...
 
 
@@ -33,10 +31,9 @@ class SurprisalStats:
     variance: float
     max: float
     token_count: int
-    lm_id: str
 
     @classmethod
-    def from_series(cls, series: list[float], lm_id: str = "series") -> "SurprisalStats":
+    def from_series(cls, series: list[float]) -> "SurprisalStats":
         if not series:
             raise EmptyText("cannot summarize an empty surprisal series")
         if any(s < 0 for s in series):
@@ -52,7 +49,6 @@ class SurprisalStats:
             variance=var,
             max=max(series),
             token_count=n,
-            lm_id=lm_id,
         )
 
     def as_dict(self) -> dict:
@@ -85,7 +81,7 @@ def surprisal_series(text: str, context: str, backend: Scorer) -> list[float]:
 
 def uid_stats(text: str, context: str, backend: Scorer) -> SurprisalStats:
     series = surprisal_series(text, context, backend)
-    return SurprisalStats.from_series(series, lm_id=backend.model_id)
+    return SurprisalStats.from_series(series)
 
 
 @dataclass

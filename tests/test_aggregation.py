@@ -12,8 +12,6 @@ from fedprompt.aggregation import (
     aggregate,
     aggregate_concat,
     aggregate_dynamic,
-    aggregate_summarize,
-    aggregate_summarize_uid,
 )
 from fedprompt.backends.base import count_tokens
 from fedprompt.backends.mock import MockBackend
@@ -88,14 +86,14 @@ class TestConcat:
 class TestSummarize:
     def test_single_backend_call_with_tag(self):
         backend = _summarizer()
-        merged = aggregate_summarize(_inputs({0: "alpha", 1: "beta"}, backend=backend))
+        merged = aggregate("summarize", _inputs({0: "alpha", 1: "beta"}, backend=backend))
         assert backend.call_log.tags() == ["aggregation_summarize"]
         assert merged.producer == "summarize"
         assert merged.text == f"Merged prompt body. {FINAL_INSTRUCTION}"
 
     def test_request_carries_template_and_numbered_prompts(self):
         backend = _summarizer()
-        aggregate_summarize(_inputs({1: "beta prompt", 0: "alpha prompt"}, backend=backend))
+        aggregate("summarize", _inputs({1: "beta prompt", 0: "alpha prompt"}, backend=backend))
         user_text = backend.call_log.records()[0].request.user_text
         assert user_text.startswith(
             "Merge the following list of prompts into a single, cohesive prompt"
@@ -107,25 +105,25 @@ class TestSummarize:
 
     def test_uid_variant_adds_density_clause(self):
         backend = _summarizer()
-        merged = aggregate_summarize_uid(_inputs({0: "alpha", 1: "beta"}, backend=backend))
+        merged = aggregate("summarize-uid", _inputs({0: "alpha", 1: "beta"}, backend=backend))
         user_text = backend.call_log.records()[0].request.user_text
         assert "Apply Uniform Information Density Principles." in user_text
         assert merged.producer == "summarize_uid"
 
     def test_plain_variant_lacks_density_clause(self):
         backend = _summarizer()
-        aggregate_summarize(_inputs({0: "alpha", 1: "beta"}, backend=backend))
+        aggregate("summarize", _inputs({0: "alpha", 1: "beta"}, backend=backend))
         user_text = backend.call_log.records()[0].request.user_text
         assert "Uniform Information Density" not in user_text
 
     def test_blank_summary_rejected(self):
         backend = _summarizer("   \n  ")
         with pytest.raises(EmptyOutput):
-            aggregate_summarize(_inputs({0: "alpha", 1: "beta"}, backend=backend))
+            aggregate("summarize", _inputs({0: "alpha", 1: "beta"}, backend=backend))
 
     def test_without_backend_rejected(self):
         with pytest.raises(ValueError):
-            aggregate_summarize(_inputs({0: "alpha"}))
+            aggregate("summarize", _inputs({0: "alpha"}))
 
     def test_dropped_final_instruction_warns(self, caplog):
         inputs = _inputs(
@@ -133,7 +131,7 @@ class TestSummarize:
             backend=_summarizer("Merged without the required suffix."),
         )
         with caplog.at_level(logging.WARNING, logger="fedprompt.aggregation"):
-            merged = aggregate_summarize(inputs, final_instruction=FINAL_INSTRUCTION)
+            merged = aggregate("summarize", inputs, final_instruction=FINAL_INSTRUCTION)
         assert merged.text == "Merged without the required suffix."
         assert any("final instruction" in r.message.lower() for r in caplog.records)
 
@@ -143,7 +141,7 @@ class TestSummarize:
             backend=_summarizer(f"Merged body. {FINAL_INSTRUCTION}"),
         )
         with caplog.at_level(logging.WARNING, logger="fedprompt.aggregation"):
-            aggregate_summarize(inputs, final_instruction=FINAL_INSTRUCTION)
+            aggregate("summarize", inputs, final_instruction=FINAL_INSTRUCTION)
         assert not caplog.records
 
 
@@ -181,7 +179,7 @@ class TestDynamic:
             aggregate_dynamic(small_a, threshold=800).text == aggregate_concat(small_b).text
         )
         assert (
-            aggregate_dynamic(big_a, threshold=800).text == aggregate_summarize(big_b).text
+            aggregate_dynamic(big_a, threshold=800).text == aggregate("summarize", big_b).text
         )
 
 

@@ -33,7 +33,7 @@ from fedprompt.runtime import (
     sample_clients,
     server_round,
 )
-from fedprompt.tasks import FederatedData, Partition, exact_fraction
+from fedprompt.tasks import FederatedData, exact_fraction
 from tests.conftest import FINAL_INSTRUCTION, LatencySession, alternating_backend, make_examples
 
 
@@ -417,7 +417,7 @@ class TestRun:
             train=examples,
             val=[],
             test=examples[:2],
-            partition=Partition(assignments={0: [ex.id for ex in examples]}),
+            assignments={0: [ex.id for ex in examples]},
         )
         with pytest.raises(ConfigError):
             run(RunConfig(num_clients=1), data, counting_rule_backend())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from fedprompt.backends.mock import MockBackend
 from fedprompt.errors import DuplicateId, ExtractionFailure, ParseError, TooManyClients
-from fedprompt.prompts import PromptState
 from fedprompt.tasks import (
     _ANSWER_RE,
     TaskExample,
@@ -15,7 +14,6 @@ from fedprompt.tasks import (
     extract_answer,
     load_dataset,
     normalize_answer,
-    partition_heterogeneous,
     partition_homogeneous,
     score,
     split_dataset,
@@ -135,49 +133,32 @@ class TestSplits:
 class TestPartitions:
     def test_equal_shares(self):
         train = make_examples(12)
-        partition = partition_homogeneous(train, 3, seed=0)
-        assert sorted(len(ids) for ids in partition.assignments.values()) == [4, 4, 4]
+        assignments = partition_homogeneous(train, 3, seed=0)
+        assert sorted(len(ids) for ids in assignments.values()) == [4, 4, 4]
 
     def test_imbalance_at_most_one(self):
         train = make_examples(13)
-        partition = partition_homogeneous(train, 3, seed=0)
-        sizes = sorted(len(ids) for ids in partition.assignments.values())
+        assignments = partition_homogeneous(train, 3, seed=0)
+        sizes = sorted(len(ids) for ids in assignments.values())
         assert sizes == [4, 4, 5]
 
     def test_disjoint_cover(self):
         train = make_examples(11)
-        partition = partition_homogeneous(train, 4, seed=2)
-        ids = [i for ids in partition.assignments.values() for i in ids]
+        assignments = partition_homogeneous(train, 4, seed=2)
+        ids = [i for ids in assignments.values() for i in ids]
         assert len(ids) == 11
         assert set(ids) == {ex.id for ex in train}
 
     def test_deterministic_by_seed(self):
         train = make_examples(10)
-        assert (
-            partition_homogeneous(train, 3, seed=9).assignments
-            == partition_homogeneous(train, 3, seed=9).assignments
-        )
+        assert partition_homogeneous(train, 3, seed=9) == partition_homogeneous(train, 3, seed=9)
 
     def test_more_clients_than_examples_rejected(self):
         with pytest.raises(TooManyClients):
             partition_homogeneous(make_examples(5), 6, seed=0)
 
     def test_manifest_shape(self):
-        partition = partition_homogeneous(make_examples(4), 2, seed=0)
-        assert set(partition.assignments) == {0, 1}
-
-    def test_heterogeneous_clients_follow_task_order(self):
-        by_task = {
-            "zoo": make_examples(3, task_name="zoo"),
-            "arith": make_examples(3, task_name="arith"),
-        }
-        partition = partition_heterogeneous(by_task)
-        assert partition.assignments[0] == [ex.id for ex in by_task["arith"]]
-        assert partition.assignments[1] == [ex.id for ex in by_task["zoo"]]
-
-    def test_heterogeneous_rejects_mixed_rows(self):
-        with pytest.raises(ValueError):
-            partition_heterogeneous({"arith": make_examples(2, task_name="zoo")})
+        assert set(partition_homogeneous(make_examples(4), 2, seed=0)) == {0, 1}
 
 
 class TestBuildFederatedData:
@@ -201,6 +182,48 @@ class TestBuildFederatedData:
         assert {ex.task_name for ex in data.client_examples(1)} == {"beta"}
         # validation and test stay pooled across tasks at the server
         assert {ex.task_name for ex in data.val} == {"alpha", "beta"}
+
+    def test_heterogeneous_clients_follow_task_order(self):
+        examples = make_examples(6, task_name="zoo") + make_examples(6, task_name="arith")
+        for ex in examples:
+            ex.id = f"{ex.task_name}:{ex.id}"
+        for seed in range(4):
+            data = build_federated_data(examples, 2, seed=seed, heterogeneous=True)
+            assert {ex.task_name for ex in data.client_examples(0)} == {"arith"}
+            assert {ex.task_name for ex in data.client_examples(1)} == {"zoo"}
+
+    # mode: (client 0 ids, client 1 ids, train, val, test)
+    GOLDEN_SPLITS = {
+        False: (
+            ["arith:t:1", "arith:t:6", "arith:t:5", "zoo:t:5"],
+            ["zoo:t:3", "arith:t:4", "arith:t:2"],
+            ["arith:t:5", "zoo:t:5", "arith:t:4", "arith:t:6", "zoo:t:3", "arith:t:2", "arith:t:1"],
+            ["arith:t:3", "zoo:t:1"],
+            ["zoo:t:4", "zoo:t:2"],
+        ),
+        True: (  # clients follow task-name order; val and test pool the tasks in that order
+            ["arith:t:4", "arith:t:3", "arith:t:5", "arith:t:6"],
+            ["zoo:t:3", "zoo:t:4", "zoo:t:5"],
+            ["arith:t:4", "arith:t:3", "arith:t:5", "arith:t:6", "zoo:t:3", "zoo:t:4", "zoo:t:5"],
+            ["arith:t:2", "zoo:t:2"],
+            ["arith:t:1", "zoo:t:1"],
+        ),
+    }
+
+    @pytest.mark.parametrize("heterogeneous", [False, True])
+    def test_golden_split_of_two_tasks_out_of_name_order(self, heterogeneous):
+        examples = []
+        for task, n in (("zoo", 5), ("arith", 6)):  # rows arrive out of task-name order
+            rows = make_examples(n, task_name=task)
+            for ex in rows:
+                ex.id = f"{task}:{ex.id}"
+            examples += rows
+        data = build_federated_data(examples, 2, seed=1, heterogeneous=heterogeneous)
+        got = (
+            *([ex.id for ex in data.client_examples(cid)] for cid in (0, 1)),
+            *([ex.id for ex in split] for split in (data.train, data.val, data.test)),
+        )
+        assert got == self.GOLDEN_SPLITS[heterogeneous]
 
     def test_heterogeneous_needs_one_task_per_client(self):
         with pytest.raises(TooManyClients):
@@ -332,12 +355,6 @@ class TestScore:
         report = score("p", examples, rule_backend)
         assert report.accuracy == pytest.approx(0.86)
         assert f"{report.accuracy:.2f}" == "0.86"
-
-    def test_prompt_state_and_text_agree(self, rule_backend):
-        examples = make_examples(3)
-        from_text = score("Count.", examples, rule_backend)
-        from_state = score(PromptState("Count.", producer="init"), examples, rule_backend)
-        assert from_text.accuracy == from_state.accuracy
 
     def test_requests_are_greedy_and_tagged(self):
         backend = MockBackend()

@@ -104,11 +104,13 @@ class TestSeries:
         backend.token_logprobs = lambda context, text: TokenLogprobs([], [])
         assert surprisal_series("a", context="", backend=backend) == []
 
-    def test_uid_stats_carries_model_id(self):
-        backend = NgramBackend("a b a", order=2)
-        stats = uid_stats("a", context="", backend=backend)
-        assert stats.lm_id == backend.model_id
-        assert stats.token_count == 1
+    def test_uid_stats_summarizes_the_series(self):
+        backend = NgramBackend("a b a c a b", order=2, alpha=1.0)
+        series = surprisal_series("b a c", context="a", backend=backend)
+        stats = uid_stats("b a c", context="a", backend=backend)
+        assert stats == SurprisalStats.from_series(series)
+        assert stats.surprisals == series
+        assert stats.token_count == 3
 
 
 class TestCompare:
