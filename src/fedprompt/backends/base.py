@@ -154,13 +154,14 @@ def ordered_write(write: Callable[..., None], *args: Any) -> None:
 
 
 class CallLog:
-    """Append-only, thread-safe record of every call a backend served.
+    """Thread-safe record of every call a backend served.
 
     Appends go through :func:`ordered_write`, so the log follows program
     order even while a fan-out overlaps calls; reads hand back snapshots.
     Per-tag counts and the nonzero costs are kept as records arrive, so
     reading them does not scan the log. A call counts as *issued* unless the
-    memo served it.
+    memo served it. The log keeps every record until :meth:`drain`; the
+    counts and costs cover all calls, drained or not.
     """
 
     def __init__(self) -> None:
@@ -193,6 +194,12 @@ class CallLog:
     def records(self) -> list[CallRecord]:
         with self._lock:
             return list(self._records)
+
+    def drain(self) -> list[CallRecord]:
+        """The records appended since the last drain, in order; the log forgets them."""
+        with self._lock:
+            records, self._records = self._records, []
+        return records
 
     def tags(self) -> list[str]:
         return [r.request.tag for r in self.records()]

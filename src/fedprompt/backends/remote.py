@@ -41,10 +41,14 @@ MAX_OUTPUT_TOKENS = 512
 _CHAT_PATH = "/chat/completions"
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _canonical(payload: dict[str, Any]) -> tuple[str, str]:
     """A request payload's canonical JSON and the sha256 hex digest of it."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return canonical, hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return canonical, _sha256(canonical)
 
 
 def request_hash(payload: dict[str, Any]) -> str:
@@ -76,14 +80,18 @@ class Cassette:
     :func:`~fedprompt.backends.base.ordered_write`); ``mode="replay"`` serves
     stored responses by request hash, each once and in recorded order, and
     never touches the network. Each line is ``{"request_hash", "request",
-    "response", "timestamp"}``, the request in the canonical JSON that
-    :func:`request_hash` hashes. Recording keeps one append handle open and
-    flushes it after every line, so a killed process keeps every committed
-    line; :meth:`close` closes the handle, and a later line reopens it.
+    "response", "response_sha256", "timestamp"}``, the request in the
+    canonical JSON that :func:`request_hash` hashes and ``response_sha256``
+    the sha256 of the response's ``json.dumps``. Recording keeps one append
+    handle open and flushes it after every line, so a killed process keeps
+    every committed line; :meth:`close` closes the handle, and a later line
+    reopens it.
     A last line without its newline is kept if it parses and is otherwise a
     killed recording's fragment: replay skips the fragment, and recording,
     before its first append, cuts it off or ends the whole line. Replay
-    rejects a line whose ``request`` does not hash to its ``request_hash``.
+    rejects a line whose ``request`` does not hash to its ``request_hash``,
+    or whose ``response`` does not hash to its ``response_sha256``; a line
+    without ``response_sha256``, as older cassettes have, is not checked.
     """
 
     def __init__(self, path: str | Path, mode: str = "replay"):
@@ -104,12 +112,15 @@ class Cassette:
                             "needs a string request_hash, an object request and an object response", n)
             if request_hash(entry["request"]) != entry["request_hash"]:
                 raise fault(BackendError, "cassette", path, "request_hash is not the hash of its request", n)
+            if "response_sha256" in entry and _sha256(json.dumps(entry["response"])) != entry["response_sha256"]:
+                raise fault(BackendError, "cassette", path, "response_sha256 is not the hash of its response", n)
             self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
 
     def record(self, payload: dict[str, Any], response: dict[str, Any]) -> None:
         canonical, digest = _canonical(payload)
+        body = json.dumps(response)
         ordered_write(self._append_line, f'{{"request_hash": "{digest}", "request": {canonical}, '
-                      f'"response": {json.dumps(response)}, "timestamp": {time.time()!r}}}\n')
+                      f'"response": {body}, "response_sha256": "{_sha256(body)}", "timestamp": {time.time()!r}}}\n')
 
     def _append_line(self, line: str) -> None:
         with self._write_lock:

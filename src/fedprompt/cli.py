@@ -31,8 +31,8 @@ from fedprompt.backends.base import DEFAULT_CONTEXT_WINDOW, GENERATION_TAGS, Bac
 from fedprompt.backends.mock import load_script
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.rules import counting_rule_backend
-from fedprompt.errors import ConfigError, FedPromptError
-from fedprompt.inputs import BUNDLED, read_json, read_text
+from fedprompt.errors import ConfigError, DuplicateId, FedPromptError
+from fedprompt.inputs import BUNDLED, fault, read_json, read_text
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import RunConfig, RunReport, run
 from fedprompt.tasks import (
@@ -178,7 +178,13 @@ def _load_datasets(settings: dict[str, Any]) -> tuple[FederatedData, dict[str, s
     paths = settings["datasets"]
     hashes: dict[str, str] = {}
     sources = [Path(p) for p in paths] or [BUNDLED / f"{_BUNDLED_DATASET}.jsonl"]
-    examples = [ex for path in sources for ex in load_dataset(path, digests=hashes)]
+    examples = []
+    owners: dict[str, Path] = {}
+    for path in sources:
+        for ex in load_dataset(path, digests=hashes):
+            if owners.setdefault(ex.id, path) is not path:  # load_dataset checks ids within one file
+                raise fault(DuplicateId, "dataset", path, f"example id {ex.id!r} is also in {owners[ex.id]}")
+            examples.append(ex)
     if not paths:  # named as bundled, not by where the package is installed
         hashes = {f"bundled:{_BUNDLED_DATASET}": digest for digest in hashes.values()}
     try:
@@ -314,7 +320,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "backend_descriptor": dataclasses.asdict(backend.descriptor),
         "started_at": started_at,
     }
-    report = run(cfg, data, backend, templates, _open_run_dir(out_dir, manifest, cfg.initial_prompt))
+    write_round = _open_run_dir(out_dir, manifest, cfg.initial_prompt)
+
+    def on_barrier(*round_: Any) -> None:
+        write_round(*round_)
+        backend.call_log.drain()  # every fan-out has joined: the run holds one round's records at most
+
+    report = run(cfg, data, backend, templates, on_barrier)
     _dump_json(out_dir / "report.json", _report_doc(report))
     _dump_json(out_dir / "manifest.json", {**manifest, "finished_at": time.time()})
     print(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -176,6 +177,27 @@ class TestCallLog:
             log.append(request, result, cost)
         assert log.total_cost_usd() == math.fsum(costs)
         assert log.total_cost_usd() == math.fsum(r.cost_usd for r in log.records())
+
+    def test_drain_hands_over_the_records_and_keeps_the_counts_and_costs(self):
+        log = CallLog()
+        result = GenerationResult("ok", 1, 1)
+        appended = [("forward", "live", 0.25), ("evaluation", "memo", 0.0), ("tgd_step", "cassette", 0.5)]
+        for tag, source, cost in appended:
+            log.append(GenerationRequest(tag=tag, system_text="", user_text=tag), result, cost, source)
+        counts, issued, cost = log.counts_by_tag(), log.issued_counts_by_tag(), log.total_cost_usd()
+
+        drained = log.drain()
+        assert [(r.request.tag, r.source, r.cost_usd) for r in drained] == appended
+        assert log.drain() == []
+        assert len(log) == 0
+        assert log.records() == [] and log.tags() == []
+        assert (log.counts_by_tag(), log.issued_counts_by_tag(), log.total_cost_usd()) == (counts, issued, cost)
+
+        log.append(GenerationRequest(tag="forward", system_text="", user_text="later"), result, 0.25)
+        assert len(log) == 1
+        assert [r.request.user_text for r in log.drain()] == ["later"]
+        assert log.counts_by_tag()["forward"] == 2
+        assert log.total_cost_usd() == 1.0
 
 
 class TestMockBackend:
@@ -687,8 +709,9 @@ class TestCassette:
         recorder.close()
 
         entry = json.loads(path.read_text().splitlines()[0])
-        assert set(entry) == {"request_hash", "request", "response", "timestamp"}
+        assert set(entry) == {"request_hash", "request", "response", "response_sha256", "timestamp"}
         assert entry["request_hash"] == request_hash(entry["request"])
+        assert entry["response_sha256"] == hashlib.sha256(json.dumps(entry["response"]).encode()).hexdigest()
 
         replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
         second = replayer.generate(
@@ -721,10 +744,13 @@ class TestCassette:
             ('{"request_hash": "x", "request": {}, "response": []}',
              "needs a string request_hash, an object request and an object response"),
             ('{"request_hash": "x", "request": {}, "response": {}}', "request_hash is not the hash of its request"),
+            (json.dumps({"request_hash": request_hash({}), "request": {}, "response": {"text": "edited"},
+                         "response_sha256": hashlib.sha256(b'{"text": "recorded"}').hexdigest()}),
+             "response_sha256 is not the hash of its response"),
             ("{broken", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
         ],
         ids=["list", "number", "no-request", "no-hash", "hash-not-a-string", "response-not-an-object", "wrong-hash",
-             "not-json"],
+             "wrong-response-hash", "not-json"],
     )
     def test_a_bad_line_is_an_error_naming_the_file_and_line(self, tmp_path, line, problem):
         path = tmp_path / "exchange.jsonl"

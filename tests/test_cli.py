@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,13 @@ import pytest
 import fedprompt
 from fedprompt.backends import remote
 from fedprompt.backends.ngram import NgramBackend
-from fedprompt.backends.base import GENERATION_TAGS
+from fedprompt.backends.base import GENERATION_TAGS, CallLog
 from fedprompt.cli import _BUILDERS, _open_run_dir, _resolve_run_settings, build_backend, build_parser, main
 from fedprompt.errors import ConfigError
+from fedprompt.inputs import BUNDLED
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import BatchDecision, RoundRecord, RunConfig
+from fedprompt.tasks import build_federated_data, load_dataset
 from tests.conftest import FINAL_INSTRUCTION, LatencySession, ServerError, make_counting_rows, write_jsonl
 
 
@@ -222,6 +225,39 @@ class TestRunCommand:
         assert code == 6
         assert _error_payload(capsys)["category"] == "dataset"
         assert not out.exists()
+
+    def test_an_id_shared_by_two_dataset_files_is_dataset_error_and_no_run_dir(self, tmp_path, capsys):
+        rows = (BUNDLED / "demo_counting.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)[:20]
+        first, copy = tmp_path / "counting_a.jsonl", tmp_path / "counting_c.jsonl"
+        for path in (first, copy):
+            path.write_text("".join(rows), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--dataset", str(first), "--dataset", str(copy), "--clients", "2", "--rounds", "1"]
+        assert main([*argv, "--out", str(out)]) == 6
+        payload = _error_payload(capsys)
+        assert payload["error"] == "DuplicateId"
+        assert payload["message"] == f"dataset file {copy}: example id 'demo:1' is also in {first}"
+        assert not out.exists()
+
+    def test_the_log_holds_one_round_of_records_at_a_time(self, tmp_path, monkeypatch):
+        logs, drained = [], []
+        drain = CallLog.drain
+
+        def counting_drain(log):
+            logs.append(log)
+            records = drain(log)
+            drained.append(Counter(r.request.tag for r in records))
+            return records
+
+        monkeypatch.setattr(CallLog, "drain", counting_drain)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--rounds", "3", "--seed", "0"]) == 0
+        rounds = [json.loads(line) for line in _lines(out, "rounds.jsonl")]
+        assert drained == [Counter(r["llm_calls_by_tag"]) for r in rounds]
+        (log,) = set(logs)
+        test = build_federated_data(load_dataset(BUNDLED / "demo_counting.jsonl"), 3, seed=0).test
+        assert len(log) == len(test)  # test scoring comes after the last barrier: only its calls are held
+        assert [r.request.metadata["example_id"] for r in log.records()] == [ex.id for ex in test]
 
     def test_invalid_sampling_rate_is_config_error(self, tmp_path, capsys):
         code = main(
@@ -598,6 +634,27 @@ class TestRunCommand:
         on_barrier(record, {"global": PromptState(text="merged")}, [decision, decision])
         assert _lines(out, "rounds.jsonl") == [json.dumps(dataclasses.asdict(record), sort_keys=True)]
         assert _lines(out, "decisions.jsonl") == [json.dumps(dataclasses.asdict(decision), sort_keys=True)] * 2
+
+    def test_a_replay_of_an_edited_response_exits_backend(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        cassette = tmp_path / "cassette.jsonl"
+
+        def run_with_cassette(mode: str) -> int:
+            return main(_run_args(_dataset(tmp_path), tmp_path / mode, backend="remote", endpoint=_ENDPOINT,
+                                  cassette=cassette, cassette_mode=mode))
+
+        assert run_with_cassette("record") == 0
+        lines = cassette.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(lines[-1])
+        entry["response"]["choices"][0]["message"]["content"] = "Answer: 8"
+        cassette.write_text("\n".join([*lines[:-1], json.dumps(entry)]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_with_cassette("replay") == 3
+        payload = _error_payload(capsys)
+        assert payload["message"] == (
+            f"cassette file {cassette} line {len(lines)}: response_sha256 is not the hash of its response"
+        )
+        assert not (tmp_path / "replay").exists()
 
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)

@@ -101,6 +101,25 @@ class TestFanOut:
         assert [r.request.user_text for r in backend.call_log.records()] == expected
         assert session.peak > 1
 
+    def test_each_drain_after_a_nested_fan_out_follows_thunk_order(self):
+        session = LatencySession(_LATENCY, jitter=True)
+        backend = _latched(_remote(session))
+        assert len(backend.call_log.drain()) == base.DECIDING_CALLS
+
+        def inner(r, i, j):
+            return backend.generate(_sampled(f"r{r}q{i}{j}"))
+
+        for r in range(2):  # a drain between two fan-outs, as at a round's barrier
+            backend.fan_out.gather(
+                [lambda i=i: backend.fan_out.gather([lambda j=j: inner(r, i, j) for j in range(3)]) for i in range(4)]
+            )
+            drained = backend.call_log.drain()
+            assert [rec.request.user_text for rec in drained] == [f"r{r}q{i}{j}" for i in range(4) for j in range(3)]
+            assert len(backend.call_log) == 0
+        backend.fan_out.close()
+        assert backend.call_log.counts_by_tag()["forward"] == base.DECIDING_CALLS + 24
+        assert session.peak > 1
+
     def test_fan_out_opened_before_the_first_call_overlaps_once_calls_wait(self):
         # the decision is made while this fan-out is already open: its
         # unstarted thunks must go to workers then, not stay inline
