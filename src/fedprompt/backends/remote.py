@@ -13,7 +13,6 @@ import math
 import os
 import threading
 import time
-from collections import deque
 from pathlib import Path
 from typing import IO, Any, Callable
 
@@ -82,9 +81,10 @@ class Cassette:
     never touches the network. Each line is ``{"request_hash", "request",
     "response", "response_sha256", "timestamp"}``, the request in the
     canonical JSON that :func:`request_hash` hashes and ``response_sha256``
-    the sha256 of the response's ``json.dumps``. Recording keeps one append
-    handle open and flushes it after every line, so a killed process keeps
-    every committed line; :meth:`close` closes the handle, and a later line
+    the sha256 of the response's ``json.dumps``, the text that replay holds
+    and decodes anew on each serve. Recording keeps one append handle open
+    and flushes it after every line, so a killed process keeps every
+    committed line; :meth:`close` closes the handle, and a later line
     reopens it.
     A last line without its newline is kept if it parses and is otherwise a
     killed recording's fragment: replay skips the fragment, and recording,
@@ -99,7 +99,7 @@ class Cassette:
             raise ValueError(f"unknown cassette mode: {mode!r}")
         self.path = Path(path)
         self.mode = mode
-        self._store: dict[str, deque[dict[str, Any]]] = {}
+        self._store: dict[str, list[str]] = {}  # each key's responses, last served first
         self._write_lock = threading.Lock()
         self._file: IO[str] | None = None
         if mode == "record":
@@ -112,9 +112,12 @@ class Cassette:
                             "needs a string request_hash, an object request and an object response", n)
             if request_hash(entry["request"]) != entry["request_hash"]:
                 raise fault(BackendError, "cassette", path, "request_hash is not the hash of its request", n)
-            if "response_sha256" in entry and _sha256(json.dumps(entry["response"])) != entry["response_sha256"]:
+            body = json.dumps(entry["response"])
+            if "response_sha256" in entry and _sha256(body) != entry["response_sha256"]:
                 raise fault(BackendError, "cassette", path, "response_sha256 is not the hash of its response", n)
-            self._store.setdefault(entry["request_hash"], deque()).append(entry["response"])
+            self._store.setdefault(entry["request_hash"], []).append(body)
+        for bodies in self._store.values():  # a list, not a deque: a deque of one costs 760 bytes
+            bodies.reverse()
 
     def record(self, payload: dict[str, Any], response: dict[str, Any]) -> None:
         canonical, digest = _canonical(payload)
@@ -138,9 +141,10 @@ class Cassette:
     def replay(self, payload: dict[str, Any]) -> dict[str, Any]:
         key = request_hash(payload)
         try:
-            return self._store[key].popleft()
+            body = self._store[key].pop()
         except (KeyError, IndexError):
             raise fault(BackendError, "cassette", self.path, f"no response left for request {key[:12]}…") from None
+        return json.loads(body)
 
 
 class RemoteBackend(Backend):
@@ -153,12 +157,16 @@ class RemoteBackend(Backend):
     :class:`ContextWindowExceeded`. It only generates; surprisal is scored
     by the local n-gram oracle.
 
-    Responses come from one store with two layers. A temperature-0 chat
-    request whose texts match one already answered is served from memory
-    (source ``"memo"``, no cost, no exchange); every other request goes to
-    the cassette (replay) or the endpoint. Concurrent identical greedy
-    requests wait for the first one instead of issuing their own, and a
-    failed request stores nothing, so a waiter then tries it itself.
+    Requests are looked up in one order: the memo, the replay cassette, the
+    endpoint. A temperature-0 chat request whose texts match one already
+    answered is served from memory (source ``"memo"``, no cost, no
+    exchange); others come from a replaying cassette (``"cassette"``) or the
+    endpoint (``"live"``), whose exchange a recording cassette keeps.
+    Concurrent identical greedy requests wait for the first one instead of
+    issuing their own, and a failed request stores nothing, so a waiter then
+    tries it itself. A response whose content is not a string, or whose
+    ``usage`` is not an object of non-negative integer counts, is a
+    :class:`BackendError`.
 
     An injected ``session`` is shared by every thread; without one, each
     thread gets its own ``requests.Session``, which is not thread-safe.
@@ -261,10 +269,8 @@ class RemoteBackend(Backend):
     # -- backend interface -----------------------------------------------------
 
     def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
-        replaying = self.cassette is not None and self.cassette.mode == "replay"
-        source = "cassette" if replaying else "live"
         if request.temperature != 0:
-            return self._generate(request), source
+            return self._fetch(request)
         key = (request.system_text, request.user_text)  # one model, one temperature, one output limit
         result = self._memo.get(key)  # a hit needs no lock: entries are never replaced
         if result is not None:
@@ -277,7 +283,7 @@ class RemoteBackend(Backend):
             self._in_flight.add(key)
         result = None
         try:
-            result = self._generate(request)
+            result, source = self._fetch(request)
         finally:
             with self._memo_lock:
                 self._in_flight.discard(key)
@@ -286,7 +292,10 @@ class RemoteBackend(Backend):
                 self._memo_changed.notify_all()
         return result, source
 
-    def _generate(self, request: GenerationRequest) -> GenerationResult:
+    def _fetch(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
+        """The result for ``request``, and its source, from the replay cassette
+        or the endpoint; a cassette keys the payload with ``"op":
+        "chat.completions"``, as existing cassettes do."""
         payload = {
             "model": self.descriptor.model_id,
             "messages": [
@@ -296,26 +305,28 @@ class RemoteBackend(Backend):
             "temperature": request.temperature,
             "max_tokens": MAX_OUTPUT_TOKENS,
         }
-        response = self._exchange(payload)
+        cassette = self.cassette
+        if cassette is not None and cassette.mode == "replay":
+            response, source = cassette.replay({"op": "chat.completions", **payload}), "cassette"
+        else:
+            response, source = self._post_with_retries(payload), "live"
+            if cassette is not None:
+                cassette.record({"op": "chat.completions", **payload}, response)
         try:
             text = response["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat completion response: {exc}") from exc
-        usage = response.get("usage") or {}
+        usage = response.get("usage")
+        usage = {} if usage is None else usage  # null, as some servers send, is no usage
+        if not isinstance(text, str):
+            raise BackendError("malformed chat completion response: content is not a string")
+        if not isinstance(usage, dict):
+            raise BackendError("malformed chat completion response: usage is not an object")
+        for name in ("prompt_tokens", "completion_tokens"):
+            if name in usage and not (type(usage[name]) is int and usage[name] >= 0):  # JSON true is no count
+                raise BackendError(f"malformed chat completion response: usage.{name} is not a non-negative integer")
         return GenerationResult(
             text=text,
             prompt_tokens=usage["prompt_tokens"] if "prompt_tokens" in usage else request.prompt_token_count(),
             completion_tokens=usage["completion_tokens"] if "completion_tokens" in usage else count_tokens(text),
-        )
-
-    def _exchange(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """Send ``payload``; a cassette keys it with ``"op": "chat.completions"``
-        added, so its request hashes stay those of existing cassettes."""
-        if self.cassette is None:
-            return self._post_with_retries(payload)
-        keyed = {"op": "chat.completions", **payload}
-        if self.cassette.mode == "replay":
-            return self.cassette.replay(keyed)
-        response = self._post_with_retries(payload)
-        self.cassette.record(keyed, response)
-        return response
+        ), source

@@ -8,11 +8,12 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fedprompt.backends.base import (
@@ -699,6 +700,20 @@ class TestRemoteBackend:
         assert backend.session is session
 
 
+#: JSON objects as a response may hold them: any text, ints past 64 bits,
+#: finite floats, nested lists and objects
+_JSON_OBJECTS = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-(10**30), 10**30)
+        | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=20),
+        lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
 class TestCassette:
     def test_record_then_replay_round_trip(self, tmp_path):
         path = tmp_path / "exchange.jsonl"
@@ -960,6 +975,67 @@ class TestCassette:
                 fh.write(json.dumps(entry) + "\n")
         replayer = _remote(_FakeSession([]), cassette=Cassette(path, mode="replay"))
         assert [replayer.generate(_greedy()).text for _ in range(3)] == ["judged"] * 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(responses=st.lists(_JSON_OBJECTS, min_size=1, max_size=6))
+    @example(responses=[{"text": "caf\u00e9 \u2028 \u2029 \U0001f600", "escapes": "\"\\/\b\f\n\r\t\u0000",
+                         "ints": [2**64, -(10**40)], "floats": [0.1, -0.0, 1e308, 5e-324],
+                         "nested": [[[1, [2]], []], {"a": [None, True]}]}])
+    def test_recorded_json_replays_equal_and_repeats_in_recorded_order(self, tmp_path, responses):
+        path = tmp_path / "exchange.jsonl"
+        path.unlink(missing_ok=True)
+        recorder = Cassette(path, mode="record")
+        payloads = [{"op": "chat.completions", "i": i % 2} for i in range(len(responses))]
+        for payload, response in zip(payloads, responses):
+            recorder.record(payload, response)
+        recorder.close()
+        replayer = Cassette(path, mode="replay")
+        assert [replayer.replay(payload) for payload in payloads] == responses
+
+    def test_each_replay_is_a_new_object(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        response = {"choices": [{"message": {"content": "same"}}], "usage": {"prompt_tokens": 3}}
+        recorder = Cassette(path, mode="record")
+        for _ in range(2):
+            recorder.record({"op": "chat.completions"}, response)
+        recorder.close()
+        replayer = Cassette(path, mode="replay")
+        served = replayer.replay({"op": "chat.completions"})
+        served["choices"][0]["message"]["content"] = "mutated"
+        served["usage"].clear()
+        assert replayer.replay({"op": "chat.completions"}) == response
+
+    def test_a_line_without_response_sha256_replays(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        payload = {"op": "chat.completions", "model": "m"}
+        response = {"choices": [{"message": {"content": "caf\u00e9"}}]}
+        entry = {"request_hash": request_hash(payload), "request": payload, "response": response, "timestamp": 0.0}
+        path.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert Cassette(path, mode="replay").replay(payload) == response
+
+    def test_a_loaded_replay_store_retains_at_most_three_times_its_response_bytes(self, tmp_path):
+        path = tmp_path / "exchange.jsonl"
+        recorder = Cassette(path, mode="record")
+        rng = random.Random(0)
+        response_bytes = 0
+        for i in range(1000):
+            content = " ".join(rng.choice(["Answer:", "count", "the", "pens", str(i)]) for _ in range(20))
+            response = {"choices": [{"index": 0, "message": {"role": "assistant", "content": content}}],
+                        "usage": {"prompt_tokens": 40 + i % 7, "completion_tokens": 20}}
+            response_bytes += len(json.dumps(response))
+            recorder.record({"op": "chat.completions", "i": i}, response)
+        recorder.close()
+        assert 200_000 < response_bytes < 300_000  # about 250 bytes a response
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cassette = Cassette(path, mode="replay")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cassette.replay({"op": "chat.completions", "i": 0})["usage"]["completion_tokens"] == 20
+        assert retained <= 3 * response_bytes
 
 
 class _ChunkedPath:

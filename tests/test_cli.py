@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -60,6 +61,16 @@ class _AnswerSession:
 
     def json(self):
         return {"choices": [{"message": {"content": _ANSWER}}]}
+
+
+class _BodySession(_AnswerSession):
+    """Answers every chat completion with HTTP 200 and ``body``."""
+
+    def __init__(self, body):
+        self.body = body
+
+    def json(self):
+        return self.body
 
 
 class _ContextLengthSession(_AnswerSession):
@@ -655,6 +666,47 @@ class TestRunCommand:
             f"cassette file {cassette} line {len(lines)}: response_sha256 is not the hash of its response"
         )
         assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [
+            ({"choices": [{"message": {"content": None}}]}, "content is not a string"),
+            ({"choices": [{"message": {"content": _ANSWER}}], "usage": 5}, "usage is not an object"),
+            ({"choices": [{"message": {"content": _ANSWER}}], "usage": {"prompt_tokens": "12"}},
+             "usage.prompt_tokens is not a non-negative integer"),
+            ({"choices": [{"message": {"content": _ANSWER}}], "usage": {"prompt_tokens": None}},
+             "usage.prompt_tokens is not a non-negative integer"),
+            ({"choices": [{"message": {"content": _ANSWER}}], "usage": {"completion_tokens": True}},
+             "usage.completion_tokens is not a non-negative integer"),
+        ],
+        ids=["content-null", "usage-a-number", "count-a-string", "count-null", "count-a-bool"],
+    )
+    def test_a_malformed_chat_completion_exits_backend(self, tmp_path, monkeypatch, capsys, body, problem):
+        monkeypatch.setattr(remote.requests, "Session", lambda: _BodySession(body))
+        assert main(_run_args(_dataset(tmp_path), tmp_path / "out", backend="remote", endpoint=_ENDPOINT)) == 3
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        assert json.loads(line) == {"category": "backend", "error": "BackendError",
+                                    "message": f"malformed chat completion response: {problem}"}
+
+    def test_a_replayed_response_with_an_edited_usage_exits_backend(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
+        cassette = tmp_path / "cassette.jsonl"
+
+        def run_with_cassette(mode: str) -> int:
+            return main(_run_args(_dataset(tmp_path), tmp_path / mode, backend="remote", endpoint=_ENDPOINT,
+                                  cassette=cassette, cassette_mode=mode))
+
+        assert run_with_cassette("record") == 0
+        first, *rest = cassette.read_text(encoding="utf-8").splitlines()
+        entry = json.loads(first)
+        entry["response"]["usage"] = {"prompt_tokens": -1}
+        entry["response_sha256"] = hashlib.sha256(json.dumps(entry["response"]).encode()).hexdigest()
+        cassette.write_text("\n".join([json.dumps(entry), *rest]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_with_cassette("replay") == 3
+        assert _error_payload(capsys) == {"category": "backend", "error": "BackendError", "message":
+                                          "malformed chat completion response: usage.prompt_tokens is not a "
+                                          "non-negative integer"}
 
     def test_report_counts_issued_calls_and_replays_byte_identically(self, tmp_path, monkeypatch):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
