@@ -22,15 +22,20 @@ likelihood) an unseen history falls back to the uniform distribution
 Counts are keyed by integer ids: ``vocab[i - 1]`` has id ``i``. The corpus
 is one flat id stream in which id 0 closes each sequence. Scored tokens never
 map to 0, so an n-gram across a sequence boundary is never looked up, and
-``count(h)`` sums only the n-grams whose last id is not 0. Building is linear
-in corpus tokens times ``order``.
+``count(h)`` sums only the n-grams whose last id is not 0.
+
+A build holds one string per distinct corpus token, the id stream and the
+count tables: each token split from the corpus is swapped at once for the
+first string equal to it, the per-sequence token lists are dropped once the
+stream is made, and the n-grams are counted over shifted views of the stream,
+not copies of it. Building is linear in corpus tokens times ``order``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import chain
+from itertools import islice
 from typing import Iterable, Sequence
 
 from fedprompt.backends.base import TokenLogprobs
@@ -64,9 +69,11 @@ class NgramBackend:
         self.order = order
         self.alpha = alpha
 
-        sequences = [corpus] if isinstance(corpus, str) else list(corpus)
-        tokenized = [seq.split() for seq in sequences]
-        distinct = dict.fromkeys(chain.from_iterable(tokenized))  # first-occurrence order
+        distinct: dict[str, str] = {}  # each distinct token to its first string, in first-occurrence order
+        tokenized = [
+            list(map(distinct.setdefault, toks, toks))
+            for toks in map(str.split, [corpus] if isinstance(corpus, str) else corpus)
+        ]
 
         self.vocab = sorted((set(distinct) | {UNK}) if vocab is None else set(vocab))
         self._ids = {tok: i for i, tok in enumerate(self.vocab, 1)}
@@ -76,11 +83,12 @@ class NgramBackend:
         for seq in tokenized:
             stream += map(corpus_ids.__getitem__, seq)
             stream.append(0)
+        del tokenized
 
         # count(h, w) for every n-gram h + (w,) of length 1 .. order, then count(h).
         self._grams: Counter[tuple[int, ...]] = Counter({(w,): c for w, c in Counter(stream).items()})
         for n in range(2, order + 1):
-            self._grams.update(zip(*(stream[k:] for k in range(n))))
+            self._grams.update(zip(*(islice(stream, k, None) for k in range(n))))
         self._totals: Counter[tuple[int, ...]] = Counter()
         for gram, count in self._grams.items():
             if gram[-1]:

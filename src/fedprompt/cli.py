@@ -341,6 +341,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
     texts = [read_text(path, ConfigError, "prompt").rstrip("\n") for path in args.prompt_files]
+    if args.stats and not any(map(str.split, texts)):  # the oracle's corpus, and so the merged prompt, is blank
+        raise fault(ConfigError, "prompt", ", ".join(args.prompt_files), "has no tokens")
     backend = build_backend({"kind": "mock", "script": args.script})
     templates = Templates.from_file(args.templates or BUNDLED / "templates.json")
     agg_input = AggregationInput(
@@ -371,11 +373,19 @@ def cmd_aggregate(args: argparse.Namespace) -> int:
 # -- surprisal subcommand ----------------------------------------------------------
 
 
+def _read_tokens(path: str, what: str) -> str:
+    """The stripped text of the file at ``path``; a file with no tokens is a :class:`ConfigError`."""
+    text = read_text(path, ConfigError, what).strip()
+    if not text:
+        raise fault(ConfigError, what, path, "has no tokens")
+    return text
+
+
 def cmd_surprisal(args: argparse.Namespace) -> int:
-    texts = [read_text(args.text, ConfigError, "text").strip()]
-    corpus = [line for line in read_text(args.corpus, ConfigError, "corpus").strip().splitlines() if line.strip()]
+    texts = [_read_tokens(args.text, "text")]
+    corpus = [line for line in _read_tokens(args.corpus, "corpus").splitlines() if line.strip()]
     if args.compare:
-        texts.append(read_text(args.compare, ConfigError, "comparison text").strip())
+        texts.append(_read_tokens(args.compare, "comparison text"))
     params = {key: getattr(args, key) for key in ("order", "alpha") if getattr(args, key) is not None}
     try:
         oracle = NgramBackend(corpus, **params)

@@ -78,13 +78,14 @@ def read_jsonl(
     """``(line number, JSON value)`` of each line that is not blank, read one at a time and ended by ``"\\n"``
     only (JSON text may hold U+2028). ``digests`` is as for :func:`read_json`; ``skip_torn_tail`` drops a last
     line that has no ``"\\n"`` and does not parse, as a killed writer leaves."""
-    sha256 = hashlib.sha256()
+    sha256 = None if digests is None else hashlib.sha256()
     with _open(path, what) as fh:
         for n, raw in enumerate(fh, start=1):
-            sha256.update(raw)
+            if sha256 is not None:
+                sha256.update(raw)
             if raw.strip() and (raw.endswith(b"\n") or not skip_torn_tail or _parses(raw)):
                 yield n, _decode(raw, error, what, path, n)
-    if digests is not None:
+    if sha256 is not None:
         digests[str(path)] = sha256.hexdigest()
 
 

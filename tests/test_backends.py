@@ -403,6 +403,27 @@ class TestNgramBackend:
         # first token scored from unigrams: P(a) = (2+1)/(3+2)
         assert scored.logprobs[0] == pytest.approx(math.log(3 / 5))
 
+    def test_a_build_peaks_under_ten_times_its_corpus_bytes(self):
+        # 54,000 tokens over 64 distinct ones: a string held per token would cost about 12 times the corpus bytes
+        rng = random.Random(5)
+        things = ["pens", "cups", "keys", "coins", "books", "plates", "shoes", "forks", "lamps", "rings"]
+        corpus = []
+        for _ in range(3000):
+            items = rng.sample(things, rng.randint(2, 4))
+            counts = [rng.randint(1, 9) for _ in items]
+            listing = ", ".join(f"{n} {thing}" for n, thing in zip(counts, items))
+            corpus.append(f"you have {listing} . how many items do you have ? Answer: {sum(counts)}")
+        corpus_bytes = sum(len(line.encode("utf-8")) + 1 for line in corpus)
+        assert 200_000 < corpus_bytes < 260_000
+        tracemalloc.start()
+        try:
+            oracle = NgramBackend(corpus, order=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(oracle.vocab) == 65
+        assert peak < 10 * corpus_bytes
+
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             NgramBackend("a", order=0)

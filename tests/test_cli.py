@@ -771,6 +771,29 @@ class TestAggregateCommand:
         assert set(payload) >= {"mu", "sigma2", "max", "n", "tokens"}
         assert payload["tokens"]["inputs"] == [3, 3]
 
+    @pytest.mark.parametrize("strategy", ["concat", "summarize"])
+    def test_stats_on_prompts_with_no_tokens_is_config_error_before_the_oracle_is_built(
+        self, tmp_path, capsys, monkeypatch, strategy
+    ):
+        builds = []
+        monkeypatch.setattr("fedprompt.cli.NgramBackend", lambda *args, **kwargs: builds.append(args))
+        files = self._prompt_files(tmp_path, ["", " \t"])
+        assert main(["aggregate", *files, "--strategy", strategy, "--stats"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("ConfigError", "config")
+        assert payload["message"] == f"prompt file {files[0]}, {files[1]}: has no tokens"
+        assert builds == []
+
+    def test_stats_scores_a_merge_of_one_blank_and_one_worded_prompt(self, tmp_path, capsys):
+        files = self._prompt_files(tmp_path, ["", "alpha beta"])
+        assert main(["aggregate", *files, "--strategy", "concat", "--stats"]) == 0
+        payload = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert payload["tokens"]["inputs"] == [0, 2]
+        assert payload["n"] == 2
+
     def test_budget_overflow_exits_context_window(self, tmp_path, capsys):
         files = self._prompt_files(tmp_path, ["one two three", "four five six"])
         code = main(["aggregate", *files, "--strategy", "concat", "--budget", "5"])
@@ -916,6 +939,26 @@ class TestSurprisalCommand:
         assert main(argv) == 2
         what = {"text": "text", "corpus": "corpus", "compare": "comparison text"}[missing]
         assert _error_payload(capsys)["message"] == f"{what} file not found: {paths[missing]}"
+        assert builds == []
+
+    @pytest.mark.parametrize("blank", ["", " \n\t\n\u3000"], ids=["empty", "whitespace"])
+    @pytest.mark.parametrize("input_", ["text", "corpus", "compare"])
+    def test_an_input_with_no_tokens_is_config_error_before_the_oracle_is_built(
+        self, tmp_path, capsys, monkeypatch, input_, blank
+    ):
+        builds = []
+        monkeypatch.setattr("fedprompt.cli.NgramBackend", lambda *args, **kwargs: builds.append(args))
+        paths = {name: self._write(tmp_path, f"{name}.txt", "a b") for name in ("text", "corpus", "compare")}
+        Path(paths[input_]).write_text(blank, encoding="utf-8")
+        argv = ["surprisal", "--text", paths["text"], "--corpus", paths["corpus"], "--compare", paths["compare"]]
+        assert main(argv if input_ == "compare" else argv[:-2]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("ConfigError", "config")
+        what = {"text": "text", "corpus": "corpus", "compare": "comparison text"}[input_]
+        assert payload["message"] == f"{what} file {paths[input_]}: has no tokens"
         assert builds == []
 
 

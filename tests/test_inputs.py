@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import re
@@ -16,10 +17,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fedprompt import inputs
 from fedprompt.backends import remote
 from fedprompt.backends.base import GENERATION_TAGS
 from fedprompt.cli import CATEGORY_BY_CODE, main
-from fedprompt.inputs import BUNDLED
+from fedprompt.errors import ConfigError
+from fedprompt.inputs import BUNDLED, read_jsonl
 from fedprompt.templates import default_templates
 from tests.conftest import LatencySession, make_counting_rows
 
@@ -222,3 +225,23 @@ class TestMalformedInputFiles:
             _assert_one_error_line(exit_code, lines)
         else:
             assert lines == []
+
+
+class TestReadJsonl:
+    def test_the_digest_is_the_sha256_of_every_byte_blank_and_torn_lines_included(self, tmp_path):
+        data = b'{"a": 1}\n\n  \n{"b": 2}\n{"c'
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(data)
+        digests: dict[str, str] = {}
+        lines = list(read_jsonl(path, ConfigError, "test", digests, skip_torn_tail=True))
+        assert lines == [(1, {"a": 1}), (4, {"b": 2})]
+        assert digests == {str(path): hashlib.sha256(data).hexdigest()}
+
+    def test_a_read_without_digests_hashes_nothing(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("hashed a file no digest was asked of")
+
+        monkeypatch.setattr(inputs.hashlib, "sha256", refuse)
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'{"a": 1}\n{"b": 2}\n')
+        assert list(read_jsonl(path, ConfigError, "test")) == [(1, {"a": 1}), (2, {"b": 2})]
