@@ -231,25 +231,28 @@ MAX_WORKERS = 8
 #: run, whether the backend's calls wait.
 DECIDING_CALLS = 8
 
+#: The outcome of a thunk that never started because an earlier one failed.
+_NOT_RUN = (None, None, None)
+
 
 class _Thunks:
     """One open fan-out: its thunks, how many are claimed, what each left.
 
     Thunks are claimed in index order. An outcome is ``(value, error, ops)``,
     where ``ops`` holds the thunk's deferred writes, or ``None`` when the
-    thunk wrote straight through.
+    thunk wrote straight through. When a thunk fails, every unclaimed thunk
+    is claimed at once with the outcome :data:`_NOT_RUN`.
     """
 
     def __init__(self, thunks: Sequence[Callable[[], Any]]):
         self.thunks = thunks
         self.claimed = 0
-        self.failed = False
         self.outcomes: list[tuple[Any, BaseException | None, list | None] | None] = [None] * len(thunks)
         self.changed = threading.Condition(threading.Lock())
 
     def claim(self) -> int | None:
         with self.changed:
-            if self.failed or self.claimed == len(self.thunks):
+            if self.claimed == len(self.thunks):
                 return None
             self.claimed += 1
             return self.claimed - 1
@@ -267,7 +270,9 @@ class _Thunks:
             _pending.ops = outer
         with self.changed:
             self.outcomes[i] = outcome
-            self.failed = self.failed or outcome[1] is not None
+            if outcome[1] is not None:
+                self.outcomes[self.claimed :] = [_NOT_RUN] * (len(self.thunks) - self.claimed)
+                self.claimed = len(self.thunks)
             self.changed.notify_all()
 
     def work(self) -> None:
@@ -331,42 +336,32 @@ class FanOut:
             return [thunk() for thunk in thunks]
         batch = _Thunks(thunks)
         with self._lock:
+            self._open.add(batch)
             waiting = self.waiting
-            if not waiting:
-                self._open.add(batch)
+        if waiting:
+            self._dispatch(batch)
         try:
-            if waiting:
-                batch.claim()  # the first thunk is the caller's own
-                self._dispatch(batch)
-                batch.execute(0, deferred=False)
             return self._join(batch)
         finally:
-            if not waiting:
-                with self._lock:
-                    self._open.discard(batch)
+            with self._lock:
+                self._open.discard(batch)
 
     def _join(self, batch: _Thunks) -> list[Any]:
         """Run or await each thunk in order and commit what it left."""
         for i in range(len(batch.thunks)):
             while batch.outcomes[i] is None:
                 k = batch.claim()
-                if k is not None:
-                    # every thunk before i is committed, so i may write through
-                    batch.execute(k, deferred=k != i)
-                elif i >= batch.claimed:  # never started: a thunk failed
-                    break
-                else:
+                if k is None:
                     with batch.changed:
                         batch.changed.wait_for(lambda: batch.outcomes[i] is not None)
-            outcome = batch.outcomes[i]
-            if outcome is None:
-                break
-            for write, args in outcome[2] or ():
+                else:  # every thunk before i is committed, so i may write through
+                    batch.execute(k, deferred=k != i)
+            for write, args in batch.outcomes[i][2] or ():
                 ordered_write(write, *args)
-        for outcome in batch.outcomes:
-            if outcome is not None and outcome[1] is not None:
-                raise outcome[1]
-        return [outcome[0] for outcome in batch.outcomes]
+        for _, error, _ in batch.outcomes:
+            if error is not None:
+                raise error
+        return [value for value, _, _ in batch.outcomes]
 
     def close(self) -> None:
         """Stop the worker threads; the next run decides afresh."""
@@ -381,7 +376,7 @@ class FanOut:
 class Backend:
     """Abstract language-model backend.
 
-    Subclasses implement :meth:`_generate`; this class owns the shared
+    Subclasses implement :meth:`_serve`; this class owns the shared
     pre-condition (the request must fit the context window) and the shared
     bookkeeping (cost, call log, the fan-out's view of whether calls wait).
     A backend only generates; text is scored by a :class:`fedprompt.uid.Scorer`.
@@ -423,15 +418,4 @@ class Backend:
 
     def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
         """The result for ``request`` and its :attr:`CallRecord.source`."""
-        return self._generate(request), "live"
-
-    def _generate(self, request: GenerationRequest) -> GenerationResult:
         raise NotImplementedError
-
-    def _make_result(self, request: GenerationRequest, text: str) -> GenerationResult:
-        """Build a result with token counts derived from the counting rule."""
-        return GenerationResult(
-            text=text,
-            prompt_tokens=request.prompt_token_count(),
-            completion_tokens=count_tokens(text),
-        )

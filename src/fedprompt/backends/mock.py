@@ -17,6 +17,7 @@ from fedprompt.backends.base import (
     BackendDescriptor,
     GenerationRequest,
     GenerationResult,
+    count_tokens,
 )
 from fedprompt.errors import ConfigError, NoScriptMatch
 from fedprompt.inputs import fault, read_json
@@ -67,14 +68,14 @@ class MockBackend(Backend):
 
     # -- generation -----------------------------------------------------------
 
-    def _generate(self, request: GenerationRequest) -> GenerationResult:
+    def _serve(self, request: GenerationRequest) -> tuple[GenerationResult, str]:
         reply = self._lookup(request)
         if reply is None:
             raise NoScriptMatch(
                 f"no script entry or rule for tag={request.tag!r} "
                 f"user_text={_normalize(request.user_text)[:120]!r}"
             )
-        return self._make_result(request, reply)
+        return GenerationResult(reply, request.prompt_token_count(), count_tokens(reply)), "live"
 
     def _lookup(self, request: GenerationRequest) -> str | None:
         key = _normalize(request.user_text)

@@ -39,7 +39,6 @@ from itertools import islice
 from typing import Iterable, Sequence
 
 from fedprompt.backends.base import TokenLogprobs
-from fedprompt.errors import BackendError
 
 UNK = "<unk>"
 
@@ -48,20 +47,12 @@ class NgramBackend:
     """Scoring oracle over hand-checkable n-gram counts.
 
     ``corpus`` is one training sequence (a string) or several (an iterable of
-    strings); histories never cross sequence boundaries. With ``vocab=None``
-    the vocabulary is the corpus vocabulary plus :data:`UNK`, and unknown
-    tokens in scored text map to :data:`UNK`. An explicit ``vocab`` is taken
-    literally: tokens outside it (in the corpus or in scored text) are an
-    error unless it contains :data:`UNK`.
+    strings); histories never cross sequence boundaries. The vocabulary is
+    the corpus's tokens plus :data:`UNK`, and tokens of scored text outside
+    the corpus map to :data:`UNK`.
     """
 
-    def __init__(
-        self,
-        corpus: str | Iterable[str],
-        order: int = 2,
-        alpha: float = 1.0,
-        vocab: Iterable[str] | None = None,
-    ):
+    def __init__(self, corpus: str | Iterable[str], order: int = 2, alpha: float = 1.0):
         if order < 1:
             raise ValueError("order must be >= 1")
         if alpha < 0:
@@ -75,13 +66,12 @@ class NgramBackend:
             for toks in map(str.split, [corpus] if isinstance(corpus, str) else corpus)
         ]
 
-        self.vocab = sorted((set(distinct) | {UNK}) if vocab is None else set(vocab))
+        self.vocab = sorted(set(distinct) | {UNK})
         self._ids = {tok: i for i, tok in enumerate(self.vocab, 1)}
-        self._unk_id = self._ids.get(UNK, 0)  # 0: out-of-vocabulary tokens are an error
-        corpus_ids = {tok: self._id(tok, "training corpus") for tok in distinct}
+        self._unk_id = self._ids[UNK]
         stream: list[int] = []
         for seq in tokenized:
-            stream += map(corpus_ids.__getitem__, seq)
+            stream += map(self._ids.__getitem__, seq)
             stream.append(0)
         del tokenized
 
@@ -96,11 +86,8 @@ class NgramBackend:
 
     # -- probabilities ---------------------------------------------------------
 
-    def _id(self, token: str, where: str = "scored text") -> int:
-        tid = self._ids.get(token, self._unk_id)
-        if not tid:
-            raise BackendError(f"token {token!r} in {where} is outside the explicit vocabulary")
-        return tid
+    def _id(self, token: str) -> int:
+        return self._ids.get(token, self._unk_id)
 
     def _probs(self, ids: list[int], start: int) -> list[float]:
         """``P(ids[i] | the order - 1 ids before it)`` for every ``i >= start``."""

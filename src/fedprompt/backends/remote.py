@@ -31,6 +31,9 @@ from fedprompt.inputs import end_torn_tail, fault, read_jsonl
 
 MAX_ATTEMPTS = 5
 
+#: Seconds before the second attempt; each later wait doubles it.
+BACKOFF_BASE_S = 0.5
+
 #: Seconds one post may take before it counts as a transport error.
 TIMEOUT_S = 60.0
 
@@ -150,12 +153,12 @@ class Cassette:
 class RemoteBackend(Backend):
     """Chat-completions client for any OpenAI-compatible endpoint.
 
-    Retries (up to :data:`MAX_ATTEMPTS` total attempts, exponential backoff,
-    or a 429's ``Retry-After`` seconds when it gives them) are for transport
-    failures and HTTP 429 only; other HTTP errors surface
-    immediately, an HTTP 400 with error code ``context_length_exceeded`` as
-    :class:`ContextWindowExceeded`. It only generates; surprisal is scored
-    by the local n-gram oracle.
+    Retries (up to :data:`MAX_ATTEMPTS` total attempts, exponential backoff
+    from :data:`BACKOFF_BASE_S`, or a 429's ``Retry-After`` seconds when it
+    gives them) are for transport failures and HTTP 429 only; other HTTP
+    errors surface immediately, an HTTP 400 with error code
+    ``context_length_exceeded`` as :class:`ContextWindowExceeded`. It only
+    generates; surprisal is scored by the local n-gram oracle.
 
     Requests are looked up in one order: the memo, the replay cassette, the
     endpoint. A temperature-0 chat request whose texts match one already
@@ -180,7 +183,6 @@ class RemoteBackend(Backend):
         api_key_env: str = "FEDPROMPT_API_KEY",
         cassette: Cassette | None = None,
         session: requests.Session | None = None,
-        backoff_base: float = 0.5,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if descriptor.kind != "remote":
@@ -194,7 +196,6 @@ class RemoteBackend(Backend):
         self._shared_session = session
         self._local = threading.local()
         self._created: list[requests.Session] = []
-        self.backoff_base = backoff_base
         self.sleep = sleep
         self._memo: dict[tuple[str, str], GenerationResult] = {}
         self._in_flight: set[tuple[str, str]] = set()
@@ -261,7 +262,7 @@ class RemoteBackend(Backend):
                     except ValueError as exc:
                         raise BackendError(f"endpoint returned non-JSON body: {exc}") from exc
             if attempt < MAX_ATTEMPTS:
-                self.sleep(self.backoff_base * 2 ** (attempt - 1) if wait is None else wait)
+                self.sleep(BACKOFF_BASE_S * 2 ** (attempt - 1) if wait is None else wait)
         raise TransportFailure(
             f"giving up on {_CHAT_PATH} after {MAX_ATTEMPTS} attempts ({last_reason})"
         )

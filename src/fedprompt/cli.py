@@ -131,7 +131,7 @@ def _remote_backend(spec: dict[str, Any]) -> Backend:
 
     described = _spec_args(spec, BackendDescriptor, "endpoint", *_DESCRIBED)
     descriptor = BackendDescriptor(**{"kind": "remote", "model_id": "gpt-4", **described})
-    if not descriptor.endpoint:
+    if not descriptor.endpoint:  # RemoteBackend checks too, but only after a recording Cassette trims a torn tail
         raise ConfigError("remote backend needs an endpoint")
     cassette = _coerce("backend.cassette", spec.get("cassette"), None)
     if not cassette and "cassette_mode" in spec:
@@ -340,6 +340,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_aggregate(args: argparse.Namespace) -> int:
+    if args.budget < 1:
+        raise ConfigError(f"--budget must be at least 1, got {args.budget}")
     texts = [read_text(path, ConfigError, "prompt").rstrip("\n") for path in args.prompt_files]
     if args.stats and not any(map(str.split, texts)):  # the oracle's corpus, and so the merged prompt, is blank
         raise fault(ConfigError, "prompt", ", ".join(args.prompt_files), "has no tokens")
@@ -383,7 +385,7 @@ def _read_tokens(path: str, what: str) -> str:
 
 def cmd_surprisal(args: argparse.Namespace) -> int:
     texts = [_read_tokens(args.text, "text")]
-    corpus = [line for line in _read_tokens(args.corpus, "corpus").splitlines() if line.strip()]
+    corpus = [line for line in _read_tokens(args.corpus, "corpus").split("\n") if line.strip()]
     if args.compare:
         texts.append(_read_tokens(args.compare, "comparison text"))
     params = {key: getattr(args, key) for key in ("order", "alpha") if getattr(args, key) is not None}

@@ -48,14 +48,15 @@ class FederatedData:
         return [self.by_id[i] for i in self.assignments[client_id]]
 
 
-def load_dataset(path: str | Path, task_name: str = "", digests: dict[str, str] | None = None) -> list[TaskExample]:
+def load_dataset(path: str | Path, digests: dict[str, str] | None = None) -> list[TaskExample]:
     """Load a JSONL task file (see :func:`~fedprompt.inputs.read_json` for ``digests``).
 
-    Each line holds ``{id?, question|input, answer|target}``. Missing ids are
-    synthesized from line numbers. Answers carrying the ``#### N`` final-answer
-    convention are reduced to the part after the last ``####``.
+    Each line holds ``{id?, question|input, answer|target}``. The task is
+    named after the file's stem; missing ids are synthesized from it and the
+    line numbers. Answers carrying the ``#### N`` final-answer convention are
+    reduced to the part after the last ``####``.
     """
-    task_name = task_name or Path(str(path)).stem
+    task_name = Path(str(path)).stem
     bad = partial(fault, ParseError, "dataset", path)
     examples: list[TaskExample] = []
     seen: set[str] = set()

@@ -34,7 +34,7 @@ def demo_examples() -> list[TaskExample]:
     with resources.as_file(
         resources.files("fedprompt").joinpath("data/demo_counting.jsonl")
     ) as path:
-        return load_dataset(path, "demo_counting")
+        return load_dataset(path)
 
 
 @pytest.fixture()

@@ -298,13 +298,12 @@ class TestNgramBackend:
         corpus=st.lists(st.lists(st.sampled_from("abc"), max_size=6).map(" ".join), max_size=5),
         order=st.integers(1, 4),
         alpha=st.sampled_from([0.0, 0.5, 1.0]),
-        explicit=st.none() | st.sets(st.sampled_from("abc")),
         context=st.lists(st.sampled_from("abcz"), max_size=4),
         text=st.lists(st.sampled_from("abcz"), max_size=6),
     )
-    def test_probabilities_equal_a_brute_force_count(self, corpus, order, alpha, explicit, context, text):
-        vocab = None if explicit is None else sorted(explicit) + [UNK]
-        oracle = NgramBackend(corpus, order=order, alpha=alpha, vocab=vocab)
+    def test_probabilities_equal_a_brute_force_count(self, corpus, order, alpha, context, text):
+        oracle = NgramBackend(corpus, order=order, alpha=alpha)
+        assert oracle.vocab == sorted({tok for seq in corpus for tok in seq.split()} | {UNK})
         reference = _ReferenceNgram(corpus, order, alpha, oracle.vocab)
         # every history of length 0 .. order over the vocabulary (seen or not), and one with an OOV token
         histories = [h for n in range(order + 1) for h in itertools.product(oracle.vocab, repeat=n)] + [("z",)]
@@ -318,16 +317,6 @@ class TestNgramBackend:
             expected.append(math.log(p) if p > 0 else float("-inf"))
         assert scored.tokens == text
         assert scored.logprobs == expected
-
-    def test_explicit_vocab_rejects_oov_in_the_training_corpus(self):
-        with pytest.raises(BackendError, match="training corpus"):
-            NgramBackend("a zebra", order=2, alpha=1.0, vocab=["a", "b"])
-
-    def test_explicit_vocab_names_the_first_oov_token_of_the_training_corpus(self):
-        # both orders: a token picked by hash order would be the same for both
-        for second, first in (("a yak", "zebra"), ("a zebra", "yak")):
-            with pytest.raises(BackendError, match=f"token '{first}' in training corpus"):
-                NgramBackend([f"b {first} a", second], order=2, alpha=1.0, vocab=["a", "b"])
 
     def test_ids_past_the_small_int_cache_equal_a_brute_force_count(self):
         rng = random.Random(7)
@@ -347,31 +336,26 @@ class TestNgramBackend:
                 expected.append(math.log(p) if p > 0 else float("-inf"))
             assert oracle.token_logprobs(" ".join(context), " ".join(text)).logprobs == expected
 
-    def test_explicit_vocab_with_unk_counts_training_oov_as_unk(self):
-        oracle = NgramBackend("a zebra zebra", order=2, alpha=1.0, vocab=["a", UNK])
-        assert oracle.prob(UNK) == pytest.approx((2 + 1) / (3 + 2))
-        assert oracle.prob(UNK, ["a"]) == pytest.approx((1 + 1) / (1 + 2))
-        assert oracle.prob("zebra", ["a"]) == oracle.prob(UNK, ["a"])
-
     def test_mle_deterministic_bigram(self):
-        # "a b a b a b": a is always followed by b
-        oracle = NgramBackend("a b a b a b", order=2, alpha=0.0, vocab=["a", "b"])
+        # "a b a b a b": a is always followed by b, so P(b|a) = 3/3
+        oracle = NgramBackend("a b a b a b", order=2, alpha=0.0)
         assert oracle.prob("b", ["a"]) == 1.0
 
     def test_laplace_hand_example(self):
-        # alpha=1, vocab {a, b}, corpus "a a": P(b|a) = (0+1)/(1+2) = 1/3
-        oracle = NgramBackend("a a", order=2, alpha=1.0, vocab=["a", "b"])
-        assert oracle.prob("b", ["a"]) == pytest.approx(1 / 3)
+        # alpha=1, vocab {<unk>, a}, corpus "a a": b maps to <unk>, P(b|a) = (0+1)/(1+2) = 1/3
+        oracle = NgramBackend("a a", order=2, alpha=1.0)
+        assert oracle.prob("b", ["a"]) == 1 / 3
 
     def test_uniform_unigram_logprob(self):
-        oracle = NgramBackend("a b", order=1, alpha=1.0, vocab=["a", "b"])
+        # vocab {<unk>, a, b}, two corpus tokens: P(a) = P(b) = (1+1)/(2+3) = 2/5
+        oracle = NgramBackend("a b", order=1, alpha=1.0)
         scored = oracle.token_logprobs("", "a b a")
-        assert scored.logprobs == pytest.approx([math.log(0.5)] * 3)
+        assert scored.logprobs == [math.log(2 / 5)] * 3
 
     def test_mle_unseen_history_uniform(self):
-        oracle = NgramBackend("a b", order=2, alpha=0.0, vocab=["a", "b"])
-        # b is sequence-final in the corpus: no successors observed
-        assert oracle.prob("a", ["b"]) == pytest.approx(0.5)
+        oracle = NgramBackend("a b", order=2, alpha=0.0)
+        # b is sequence-final in the corpus: no successors observed, so 1/|V| over {<unk>, a, b}
+        assert oracle.prob("a", ["b"]) == 1 / 3
 
     def test_distribution_normalizes(self):
         corpus = ["we count three apples", "we count four pears", "they count pears"]
@@ -387,21 +371,16 @@ class TestNgramBackend:
         assert len(scored.logprobs) == 1
         assert math.isfinite(scored.logprobs[0])
 
-    def test_explicit_vocab_rejects_oov(self):
-        oracle = NgramBackend("a b", order=2, alpha=1.0, vocab=["a", "b"])
-        with pytest.raises(BackendError):
-            oracle.token_logprobs("", "zebra")
-
     def test_histories_do_not_cross_sequences(self):
-        oracle = NgramBackend(["a b", "a b"], order=2, alpha=1.0, vocab=["a", "b"])
+        oracle = NgramBackend(["a b", "a b"], order=2, alpha=1.0)
         # b never has a successor: both sequences end with it
-        assert oracle.prob("a", ["b"]) == pytest.approx(1 / 2)  # (0+1)/(0+2)
+        assert oracle.prob("a", ["b"]) == 1 / 3  # (0+1)/(0+3), |V| counting <unk>
 
     def test_start_of_sequence_backoff(self):
-        oracle = NgramBackend("a a b", order=3, alpha=1.0, vocab=["a", "b"])
+        oracle = NgramBackend("a a b", order=3, alpha=1.0)
         scored = oracle.token_logprobs("", "a a b")
-        # first token scored from unigrams: P(a) = (2+1)/(3+2)
-        assert scored.logprobs[0] == pytest.approx(math.log(3 / 5))
+        # first token scored from unigrams: P(a) = (2+1)/(3+3), |V| counting <unk>
+        assert scored.logprobs[0] == math.log(3 / 6)
 
     def test_a_build_peaks_under_ten_times_its_corpus_bytes(self):
         # 54,000 tokens over 64 distinct ones: a string held per token would cost about 12 times the corpus bytes
@@ -436,8 +415,8 @@ _SOME_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"
 
 class TestContextWindowPrecheck:
     class _Fixed(Backend):
-        def _generate(self, request):
-            return GenerationResult("ok", 1, 1)
+        def _serve(self, request):
+            return GenerationResult("ok", 1, 1), "live"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -509,9 +488,7 @@ def _chat_payload(text="hello", prompt_tokens=7, completion_tokens=2):
 
 def _remote(session, cassette=None):
     descriptor = BackendDescriptor(kind="remote", model_id="test-model", endpoint="http://fake.test/v1")
-    return RemoteBackend(
-        descriptor, cassette=cassette, session=session, backoff_base=0.0, sleep=lambda s: None
-    )
+    return RemoteBackend(descriptor, cassette=cassette, session=session, sleep=lambda s: None)
 
 
 class TestRemoteBackend:
@@ -578,7 +555,7 @@ class TestRemoteBackend:
         sleeps = []
         backend = RemoteBackend(
             BackendDescriptor(kind="remote", model_id="test-model", endpoint="http://fake.test/v1"),
-            session=session, backoff_base=0.5, sleep=sleeps.append,
+            session=session, sleep=sleeps.append,
         )
         assert backend.generate(GenerationRequest(tag="forward", system_text="", user_text="x")).text == "ok"
         assert sleeps == slept
@@ -1111,7 +1088,7 @@ class TestResponseMemo:
             kind="remote", model_id="test-model", endpoint="http://fake.test/v1",
             usd_per_1k_prompt_tokens=1.0, usd_per_1k_completion_tokens=2.0,
         )
-        return RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+        return RemoteBackend(descriptor, session=session, sleep=lambda s: None)
 
     def test_repeated_greedy_request_posts_once(self):
         session = _FakeSession([_FakeResponse(200, _chat_payload("judged"))])
@@ -1266,7 +1243,7 @@ class TestLiveHTTPRecordReplay:
             )
             path = tmp_path / "live.jsonl"
             recorder = RemoteBackend(
-                descriptor, cassette=Cassette(path, mode="record"), backoff_base=0.0
+                descriptor, cassette=Cassette(path, mode="record"), sleep=lambda s: None
             )
             try:
                 live = recorder.generate(
@@ -1284,7 +1261,7 @@ class TestLiveHTTPRecordReplay:
         offline = RemoteBackend(
             BackendDescriptor(kind="remote", model_id="stub", endpoint="http://127.0.0.1:1/v1"),
             cassette=Cassette(path, mode="replay"),
-            backoff_base=0.0,
+            sleep=lambda s: None,
         )
         replayed = offline.generate(
             GenerationRequest(tag="forward", system_text="s", user_text="ping")

@@ -73,6 +73,15 @@ class _BodySession(_AnswerSession):
         return self.body
 
 
+class _NonJsonSession(_AnswerSession):
+    """Answers every chat completion with HTTP 200 and a body that is not JSON."""
+
+    text = "<html>busy</html>"
+
+    def json(self):
+        return json.loads(self.text)
+
+
 class _ContextLengthSession(_AnswerSession):
     """Rejects every request as too long for the model's context."""
 
@@ -678,8 +687,11 @@ class TestRunCommand:
              "usage.prompt_tokens is not a non-negative integer"),
             ({"choices": [{"message": {"content": _ANSWER}}], "usage": {"completion_tokens": True}},
              "usage.completion_tokens is not a non-negative integer"),
+            ({}, "'choices'"),
+            ({"choices": []}, "list index out of range"),
         ],
-        ids=["content-null", "usage-a-number", "count-a-string", "count-null", "count-a-bool"],
+        ids=["content-null", "usage-a-number", "count-a-string", "count-null", "count-a-bool", "no-choices",
+             "empty-choices"],
     )
     def test_a_malformed_chat_completion_exits_backend(self, tmp_path, monkeypatch, capsys, body, problem):
         monkeypatch.setattr(remote.requests, "Session", lambda: _BodySession(body))
@@ -687,6 +699,30 @@ class TestRunCommand:
         (line,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
         assert json.loads(line) == {"category": "backend", "error": "BackendError",
                                     "message": f"malformed chat completion response: {problem}"}
+
+    def test_a_body_that_is_not_json_exits_backend(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(remote.requests, "Session", _NonJsonSession)
+        assert main(_run_args(_dataset(tmp_path), tmp_path / "out", backend="remote", endpoint=_ENDPOINT)) == 3
+        (line,) = [line for line in capsys.readouterr().err.splitlines() if line.strip()]
+        payload = json.loads(line)
+        assert (payload["error"], payload["category"]) == ("BackendError", "backend")
+        assert payload["message"].startswith("endpoint returned non-JSON body: ")
+
+    @pytest.mark.parametrize("tail", ["", '{"request_hash": "ab'], ids=["whole", "torn"])
+    def test_a_recording_remote_run_without_an_endpoint_exits_config_and_leaves_the_cassette(
+        self, tmp_path, capsys, tail
+    ):
+        # the endpoint is checked before the cassette is opened, since a recording cassette ends a torn tail
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_bytes(b'{"request_hash": "0", "request": {}, "response": {}}\n' + tail.encode())
+        before = cassette.read_bytes()
+        argv = _run_args(_dataset(tmp_path), tmp_path / "out", backend="remote", cassette=cassette,
+                         cassette_mode="record")
+        assert main(argv) == 2
+        assert _error_payload(capsys) == {"category": "config", "error": "ConfigError",
+                                          "message": "remote backend needs an endpoint"}
+        assert cassette.read_bytes() == before
+        assert not (tmp_path / "out").exists()
 
     def test_a_replayed_response_with_an_edited_usage_exits_backend(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(remote.requests, "Session", _AnswerSession)
@@ -799,6 +835,19 @@ class TestAggregateCommand:
         code = main(["aggregate", *files, "--strategy", "concat", "--budget", "5"])
         assert code == 4
         assert _error_payload(capsys)["category"] == "context-window"
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_a_budget_below_one_exits_config_before_any_merge(self, tmp_path, capsys, monkeypatch, budget):
+        merges = []
+        monkeypatch.setattr("fedprompt.cli.aggregate", lambda *args, **kwargs: merges.append(args))
+        files = self._prompt_files(tmp_path, ["alpha one", "beta two"])
+        assert main(["aggregate", *files, "--strategy", "concat", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert json.loads(line) == {"category": "config", "error": "ConfigError",
+                                    "message": f"--budget must be at least 1, got {budget}"}
+        assert merges == []
 
     def test_blank_summary_exits_aggregation(self, tmp_path, capsys):
         script = tmp_path / "script.json"
@@ -940,6 +989,23 @@ class TestSurprisalCommand:
         what = {"text": "text", "corpus": "corpus", "compare": "comparison text"}[missing]
         assert _error_payload(capsys)["message"] == f"{what} file not found: {paths[missing]}"
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"],
+        ids=["VT", "FF", "FS", "GS", "RS", "NEL", "LS", "PS"],
+    )
+    def test_a_corpus_line_ends_at_newline_only(self, tmp_path, capsys, brk):
+        text = self._write(tmp_path, "text.txt", "a b")
+        outputs = []
+        for sep in (brk, " "):
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text(f"a{sep}b a b\n", encoding="utf-8")
+            assert main(["surprisal", "--text", text, "--corpus", str(corpus)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        # one sequence "a b a b": P(b|a) = (2+1)/(2+3), not (1+1)/(1+3) as two sequences "a" and "b a b" give
+        token, _, bits = outputs[0].splitlines()[2].split(",")
+        assert token == "b" and float(bits) == pytest.approx(math.log2(5 / 3))
 
     @pytest.mark.parametrize("blank", ["", " \n\t\n\u3000"], ids=["empty", "whitespace"])
     @pytest.mark.parametrize("input_", ["text", "corpus", "compare"])

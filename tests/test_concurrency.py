@@ -54,7 +54,7 @@ def _remote(session, cassette: Cassette | None = None) -> RemoteBackend:
         kind="remote", model_id="priced", endpoint=_ENDPOINT,
         usd_per_1k_prompt_tokens=0.0013, usd_per_1k_completion_tokens=0.0071,
     )
-    return RemoteBackend(descriptor, cassette=cassette, session=session, backoff_base=0.0, sleep=lambda s: None)
+    return RemoteBackend(descriptor, cassette=cassette, session=session, sleep=lambda s: None)
 
 
 def _sampled(user_text: str) -> GenerationRequest:

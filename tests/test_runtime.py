@@ -366,7 +366,7 @@ class TestRun:
         # latency per call makes the fan-outs overlap calls
         for delay in (0.0, 0.001):
             session = LatencySession(delay)
-            backend = RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+            backend = RemoteBackend(descriptor, session=session, sleep=lambda s: None)
             cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5)
             outcomes.append((run(cfg, data, backend), session.peak))
         (sequential, seq_peak), (threaded, thr_peak) = outcomes
@@ -389,7 +389,7 @@ class TestRun:
         outcomes = []
         for delay in (0.0, 0.001):
             session = _SummingSession(delay)
-            backend = RemoteBackend(descriptor, session=session, backoff_base=0.0, sleep=lambda s: None)
+            backend = RemoteBackend(descriptor, session=session, sleep=lambda s: None)
             cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2, seed=5)
             outcomes.append((run(cfg, data, backend), session, backend.call_log))
         (sequential, seq_session, seq_log), (threaded, thr_session, thr_log) = outcomes

@@ -52,7 +52,7 @@ class TestLoadDataset:
             '{"question": "b?", "answer": "2"}\n',
             encoding="utf-8",
         )
-        examples = load_dataset(path, "lines")
+        examples = load_dataset(path)
         assert [ex.id for ex in examples] == ["lines:1", "lines:3"]
 
     def test_invalid_json_reports_line(self, tmp_path):
