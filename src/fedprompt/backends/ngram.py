@@ -19,23 +19,32 @@ scored from the unigram distribution. With ``alpha == 0`` (maximum
 likelihood) an unseen history falls back to the uniform distribution
 ``1 / |V|``.
 
-Counts are keyed by integer ids: ``vocab[i - 1]`` has id ``i``. The corpus
-is one flat id stream in which id 0 closes each sequence. Scored tokens never
-map to 0, so an n-gram across a sequence boundary is never looked up, and
-``count(h)`` sums only the n-grams whose last id is not 0.
+Counts are keyed by integer ids, given to tokens in the order they first
+occur in the corpus, from 1; ``vocab`` is sorted and says nothing of the ids.
+The corpus is one flat id stream in which id 0 closes each sequence. Scored
+tokens never map to 0, so an n-gram across a sequence boundary is never
+looked up. Only one table is kept, ``grams[g]``: the number of times the
+n-gram ``g`` occurs in the stream, with ``grams[()]`` the stream's length.
+A history ``h`` holds no 0, so each of its occurrences is followed by either
+a token or the 0 that ends its sequence, which gives
+
+    count(h) = grams[h] - grams[h + (0,)]
+
+exactly, the empty history included.
 
 A build holds one string per distinct corpus token, the id stream and the
-count tables: each token split from the corpus is swapped at once for the
-first string equal to it, the per-sequence token lists are dropped once the
-stream is made, and the n-grams are counted over shifted views of the stream,
-not copies of it. Building is linear in corpus tokens times ``order``.
+count table: each token split from the corpus is swapped at once for its id,
+and the n-grams are counted over shifted views of the stream, not copies of
+it. No n-gram longer than the longest sequence plus its closing 0 is counted,
+since any longer one would hold a 0 before its last id. Building is linear in
+corpus tokens times ``min(order, longest sequence + 1)``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from itertools import islice
+from collections import Counter, defaultdict
+from itertools import count, islice
 from typing import Iterable, Sequence
 
 from fedprompt.backends.base import TokenLogprobs
@@ -55,34 +64,30 @@ class NgramBackend:
     def __init__(self, corpus: str | Iterable[str], order: int = 2, alpha: float = 1.0):
         if order < 1:
             raise ValueError("order must be >= 1")
+        if not math.isfinite(alpha):
+            raise ValueError("alpha must be finite")
         if alpha < 0:
             raise ValueError("alpha must be >= 0")
         self.order = order
         self.alpha = alpha
 
-        distinct: dict[str, str] = {}  # each distinct token to its first string, in first-occurrence order
-        tokenized = [
-            list(map(distinct.setdefault, toks, toks))
-            for toks in map(str.split, [corpus] if isinstance(corpus, str) else corpus)
-        ]
-
-        self.vocab = sorted(set(distinct) | {UNK})
-        self._ids = {tok: i for i, tok in enumerate(self.vocab, 1)}
-        self._unk_id = self._ids[UNK]
+        ids: defaultdict[str, int] = defaultdict(count(1).__next__)  # ids in first-occurrence order
         stream: list[int] = []
-        for seq in tokenized:
-            stream += map(self._ids.__getitem__, seq)
+        longest = 0
+        for seq in [corpus] if isinstance(corpus, str) else corpus:
+            start = len(stream)
+            stream += map(ids.__getitem__, seq.split())
+            longest = max(longest, len(stream) - start)
             stream.append(0)
-        del tokenized
+        self._unk_id = ids[UNK]
+        self._ids = dict(ids)
+        self.vocab = sorted(self._ids)
 
-        # count(h, w) for every n-gram h + (w,) of length 1 .. order, then count(h).
+        # grams[g] for every n-gram g of length 0 .. min(order, longest + 1)
         self._grams: Counter[tuple[int, ...]] = Counter({(w,): c for w, c in Counter(stream).items()})
-        for n in range(2, order + 1):
+        self._grams[()] = len(stream)
+        for n in range(2, min(order, longest + 1) + 1):
             self._grams.update(zip(*(islice(stream, k, None) for k in range(n))))
-        self._totals: Counter[tuple[int, ...]] = Counter()
-        for gram, count in self._grams.items():
-            if gram[-1]:
-                self._totals[gram[:-1]] += count
 
     # -- probabilities ---------------------------------------------------------
 
@@ -92,12 +97,12 @@ class NgramBackend:
     def _probs(self, ids: list[int], start: int) -> list[float]:
         """``P(ids[i] | the order - 1 ids before it)`` for every ``i >= start``."""
         keep, alpha, v = self.order - 1, self.alpha, len(self.vocab)
-        grams, totals = self._grams, self._totals
+        grams = self._grams
         probs = []
         for i in range(start, len(ids)):
             hist = tuple(ids[max(0, i - keep) : i])
             c_hw = grams.get(hist + (ids[i],), 0)
-            c_h = totals.get(hist, 0)
+            c_h = grams.get(hist, 0) - grams.get(hist + (0,), 0)
             if alpha > 0:
                 probs.append((c_hw + alpha) / (c_h + alpha * v))
             else:

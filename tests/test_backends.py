@@ -295,7 +295,7 @@ class _ReferenceNgram:
 class TestNgramBackend:
     @settings(max_examples=60, deadline=None)
     @given(
-        corpus=st.lists(st.lists(st.sampled_from("abc"), max_size=6).map(" ".join), max_size=5),
+        corpus=st.lists(st.lists(st.sampled_from(["a", "b", "c", UNK]), max_size=6).map(" ".join), max_size=5),
         order=st.integers(1, 4),
         alpha=st.sampled_from([0.0, 0.5, 1.0]),
         context=st.lists(st.sampled_from("abcz"), max_size=4),
@@ -335,6 +335,15 @@ class TestNgramBackend:
                 assert oracle.prob(word, history) == p
                 expected.append(math.log(p) if p > 0 else float("-inf"))
             assert oracle.token_logprobs(" ".join(context), " ".join(text)).logprobs == expected
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_an_order_past_the_longest_line_equals_a_brute_force_count(self, alpha):
+        corpus, order = ["a b c a", "b b", "c a b"], 10**6
+        oracle = NgramBackend(corpus, order=order, alpha=alpha)
+        reference = _ReferenceNgram(corpus, order, alpha, oracle.vocab)
+        text = "a b c a b z b b c a".split()
+        for i, word in enumerate(text):
+            assert oracle.prob(word, text[:i]) == reference.prob(word, text[:i])
 
     def test_mle_deterministic_bigram(self):
         # "a b a b a b": a is always followed by b, so P(b|a) = 3/3
@@ -406,8 +415,11 @@ class TestNgramBackend:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             NgramBackend("a", order=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha must be >= 0"):
             NgramBackend("a", alpha=-0.1)
+        for alpha in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                NgramBackend("a", alpha=alpha)
 
 
 _SOME_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000"

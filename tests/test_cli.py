@@ -943,7 +943,13 @@ class TestSurprisalCommand:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--order", "0", "ngram backend: order must be >= 1"), ("--alpha", "-1", "ngram backend: alpha must be >= 0")],
+        [
+            ("--order", "0", "ngram backend: order must be >= 1"),
+            ("--alpha", "-1", "ngram backend: alpha must be >= 0"),
+            ("--alpha", "nan", "ngram backend: alpha must be finite"),
+            ("--alpha", "inf", "ngram backend: alpha must be finite"),
+            ("--alpha", "1e309", "ngram backend: alpha must be finite"),
+        ],
     )
     def test_invalid_oracle_parameter_is_config_error(self, tmp_path, capsys, flag, value, message):
         corpus = self._write(tmp_path, "corpus.txt", "a b a b")
