@@ -328,7 +328,8 @@ class FanOut:
             if self._pool is None:
                 self._pool = ThreadPoolExecutor(MAX_WORKERS, thread_name_prefix="fedprompt-fan-out")
             pool = self._pool
-        for _ in range(min(len(batch.thunks) - batch.claimed, MAX_WORKERS)):
+        # the joiner runs one thunk: gather's caller claims one, observe's is inside one
+        for _ in range(min(len(batch.thunks) - max(batch.claimed, 1), MAX_WORKERS)):
             pool.submit(batch.work)
 
     def gather(self, thunks: Sequence[Callable[[], Any]]) -> list[Any]:

@@ -38,6 +38,11 @@ and the n-grams are counted over shifted views of the stream, not copies of
 it. No n-gram longer than the longest sequence plus its closing 0 is counted,
 since any longer one would hold a 0 before its last id. Building is linear in
 corpus tokens times ``min(order, longest sequence + 1)``.
+
+Scoring cuts histories at ``min(order - 1, longest sequence)`` ids. Where that
+cuts one, both have ``count(h) == count(h, w) == 0`` (the cut one only ever
+ends a sequence), so the probability is the same, exactly. Scoring is linear
+in text tokens times ``min(order, longest sequence + 1)``.
 """
 
 from __future__ import annotations
@@ -82,11 +87,12 @@ class NgramBackend:
         self._unk_id = ids[UNK]
         self._ids = dict(ids)
         self.vocab = sorted(self._ids)
+        self._keep = min(order - 1, longest)  # no longer history occurs in the corpus
 
-        # grams[g] for every n-gram g of length 0 .. min(order, longest + 1)
+        # grams[g] for every n-gram g of length 0 .. keep + 1
         self._grams: Counter[tuple[int, ...]] = Counter({(w,): c for w, c in Counter(stream).items()})
         self._grams[()] = len(stream)
-        for n in range(2, min(order, longest + 1) + 1):
+        for n in range(2, self._keep + 2):
             self._grams.update(zip(*(islice(stream, k, None) for k in range(n))))
 
     # -- probabilities ---------------------------------------------------------
@@ -95,8 +101,8 @@ class NgramBackend:
         return self._ids.get(token, self._unk_id)
 
     def _probs(self, ids: list[int], start: int) -> list[float]:
-        """``P(ids[i] | the order - 1 ids before it)`` for every ``i >= start``."""
-        keep, alpha, v = self.order - 1, self.alpha, len(self.vocab)
+        """``P(ids[i] | the _keep ids before it)`` for every ``i >= start``."""
+        keep, alpha, v = self._keep, self.alpha, len(self.vocab)
         grams = self._grams
         probs = []
         for i in range(start, len(ids)):
@@ -116,7 +122,7 @@ class NgramBackend:
         condition the estimate, matching how sequences are scored.
         """
         wid = self._id(word)
-        ids = [self._id(t) for t in history[max(0, len(history) - (self.order - 1)) :]] + [wid]
+        ids = [self._id(t) for t in history[max(0, len(history) - self._keep) :]] + [wid]
         return self._probs(ids, len(ids) - 1)[0]
 
     def token_logprobs(self, context: str, text: str) -> TokenLogprobs:

@@ -312,7 +312,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         "artifact_version": __version__,
         "config": {
             **settings,
-            "backend": {k: v for k, v in settings["backend"].items() if "key" not in k.lower() or k == "api_key_env"},
             "output_dir": str(out_dir),
         },
         "templates_sha256": templates_hash,

@@ -21,7 +21,7 @@ from fedprompt.backends.base import Backend, count_tokens
 from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
 from fedprompt.errors import ConfigError, ContextWindowExceeded, EmptyPartition
 from fedprompt.prompts import FINAL_INSTRUCTION, PromptState
-from fedprompt.tasks import FederatedData, ScoreReport, TaskExample, exact_fraction, score
+from fedprompt.tasks import FederatedData, TaskExample, exact_fraction, score
 from fedprompt.templates import Templates, default_templates
 
 DEFAULT_INITIAL_PROMPT = (
@@ -70,20 +70,6 @@ class RunConfig:
             )
         if not data.val or not data.test:
             raise ConfigError("run needs non-empty validation and test splits")
-
-
-@dataclass
-class ClientState:
-    id: int
-    partition: list[TaskExample]
-
-
-@dataclass
-class ServerState:
-    global_prompt: PromptState
-    round: int = 0
-    best_prompt: PromptState | None = None
-    best_val_score: float | None = None
 
 
 @dataclass
@@ -138,19 +124,16 @@ def sample_clients(n_clients: int, sampling_rate: float, rng: Random) -> list[in
     return sorted(rng.sample(range(n_clients), m))
 
 
-def client_rng(seed: int, client_id: int, round_no: int) -> Random:
-    return Random(f"{seed}:client:{client_id}:round:{round_no}")
-
-
 def client_update(
-    client: ClientState,
+    client_id: int,
+    partition: list[TaskExample],
     incoming_prompt: PromptState,
     cfg: RunConfig,
     backend: Backend,
     templates: Templates | None = None,
     round_no: int = 1,
 ) -> ClientUpdateResult:
-    """Local training: E epochs of batch-wise prompt updates.
+    """Local training of client ``client_id``: E epochs of batch-wise prompt updates.
 
     Each epoch draws ceil(|partition| / B) batches of size B with replacement.
     Per batch: a forward/evaluate/backward pass per example, one update step,
@@ -160,27 +143,27 @@ def client_update(
     backend's fan-out.
     """
     templates = templates or default_templates()
-    if not client.partition:
-        raise EmptyPartition(f"client {client.id} has no training examples")
-    longest_query = max(count_tokens(ex.question) for ex in client.partition)
+    if not partition:
+        raise EmptyPartition(f"client {client_id} has no training examples")
+    longest_query = max(count_tokens(ex.question) for ex in partition)
     needed = count_tokens(incoming_prompt.text) + longest_query
     if needed > backend.descriptor.context_window:
         raise ContextWindowExceeded(
-            f"client {client.id}: prompt plus longest query needs {needed} tokens "
+            f"client {client_id}: prompt plus longest query needs {needed} tokens "
             f"but the context window is {backend.descriptor.context_window}",
             needed=needed,
             budget=backend.descriptor.context_window,
         )
 
-    rng = client_rng(cfg.seed, client.id, round_no)
+    rng = Random(f"{cfg.seed}:client:{client_id}:round:{round_no}")
     current = incoming_prompt
     decisions: list[BatchDecision] = []
-    batches_per_epoch = math.ceil(len(client.partition) / cfg.batch_size)
+    batches_per_epoch = math.ceil(len(partition) / cfg.batch_size)
 
     for epoch in range(cfg.local_epochs):
         for batch_index in range(batches_per_epoch):
-            batch = [rng.choice(client.partition) for _ in range(cfg.batch_size)]
-            meta = {"client_id": client.id, "round": round_no, "epoch": epoch, "batch_index": batch_index}
+            batch = [rng.choice(partition) for _ in range(cfg.batch_size)]
+            meta = {"client_id": client_id, "round": round_no, "epoch": epoch, "batch_index": batch_index}
             prompt_var = Variable(
                 current.text, "system prompt for reasoning task", requires_grad=True
             )
@@ -210,13 +193,13 @@ def client_update(
             if accepted:
                 current = PromptState(
                     text=candidate_var.value,
-                    version=(round_no, client.id),
+                    version=(round_no, client_id),
                     parent_version=incoming_prompt.version,
                     producer="tgd",
                 )
             decisions.append(
                 BatchDecision(
-                    client_id=client.id,
+                    client_id=client_id,
                     round=round_no,
                     epoch=epoch,
                     batch_index=batch_index,
@@ -230,36 +213,33 @@ def client_update(
 
 
 def server_round(
-    server: ServerState,
-    clients: list[ClientState],
+    global_prompt: PromptState,
+    round_no: int,
+    partitions: list[list[TaskExample]],
     cfg: RunConfig,
     backend: Backend,
     val_examples: list[TaskExample],
     templates: Templates | None = None,
 ) -> tuple[RoundRecord, dict[str, PromptState], list[BatchDecision]]:
-    """One round: sample, dispatch, barrier, aggregate, validate, select.
+    """Round ``round_no`` from ``global_prompt``: sample, dispatch, barrier, aggregate, validate.
 
-    Mutates ``server`` in place and returns the round record, the round's
-    prompt snapshots (per sampled client plus the new global), and the
-    decision log.
+    Returns the round record, the round's prompt snapshots (per sampled client
+    plus the new global under ``"global"``), and the decision log.
     """
-    round_no = server.round + 1
     sample_rng = Random(f"{cfg.seed}:sample:round:{round_no}")
     sampled = sample_clients(cfg.num_clients, cfg.sampling_rate, sample_rng)
-    by_id = {c.id: c for c in clients}
 
     log = backend.call_log
     cost_before = log.total_cost_usd()
     calls_before = log.counts_by_tag()
     issued_before = log.issued_counts_by_tag()
 
-    def update(cid: int) -> ClientUpdateResult:
-        return client_update(
-            by_id[cid], server.global_prompt, cfg, backend, templates, round_no
-        )
-
     # barrier: every sampled client must return before any aggregation
-    results = dict(zip(sampled, backend.fan_out.gather([partial(update, cid) for cid in sampled])))
+    updates = [
+        partial(client_update, cid, partitions[cid], global_prompt, cfg, backend, templates, round_no)
+        for cid in sampled
+    ]
+    results = dict(zip(sampled, backend.fan_out.gather(updates)))
 
     agg_input = AggregationInput(
         prompts=[(cid, results[cid].prompt) for cid in sampled],
@@ -277,18 +257,13 @@ def server_round(
     new_global = PromptState(
         text=merged.text,
         version=(round_no, "server"),
-        parent_version=server.global_prompt.version,
+        parent_version=global_prompt.version,
         producer=merged.producer,
     )
 
-    val_report: ScoreReport = score(
+    val_report = score(
         new_global.text, val_examples, backend, metadata={"phase": "validation", "round": round_no}
     )
-    server.global_prompt = new_global
-    server.round = round_no
-    if server.best_val_score is None or val_report.accuracy > server.best_val_score:
-        server.best_prompt = new_global
-        server.best_val_score = val_report.accuracy
 
     cost_after = log.total_cost_usd()
     calls_after = log.counts_by_tag()
@@ -326,42 +301,37 @@ def run(
     ``on_barrier`` gets what :func:`server_round` returns, on this thread, after each round.
     """
     cfg.validate(data)
-
-    clients = [
-        ClientState(id=cid, partition=data.client_examples(cid))
-        for cid in range(cfg.num_clients)
-    ]
-    server = ServerState(
-        global_prompt=PromptState(
-            text=cfg.initial_prompt, version=(0, "server"), parent_version=None, producer="init"
-        )
+    partitions = [data.client_examples(cid) for cid in range(cfg.num_clients)]
+    global_prompt = PromptState(
+        text=cfg.initial_prompt, version=(0, "server"), parent_version=None, producer="init"
     )
 
     records: list[RoundRecord] = []
     all_decisions: list[BatchDecision] = []
     try:
-        for _ in range(cfg.rounds):
+        for round_no in range(1, cfg.rounds + 1):
             record, snapshots, decisions = server_round(
-                server, clients, cfg, backend, data.val, templates
+                global_prompt, round_no, partitions, cfg, backend, data.val, templates
             )
+            global_prompt = snapshots["global"]
+            # selection: a later round must validate strictly higher; a tie keeps the earlier prompt
+            if round_no == 1 or record.val_accuracy > best_val_accuracy:
+                best_prompt, best_val_accuracy = global_prompt, record.val_accuracy
             records.append(record)
             all_decisions.extend(decisions)
             if on_barrier is not None:
                 on_barrier(record, snapshots, decisions)
 
-        assert server.best_prompt is not None and server.best_val_score is not None
         cost_before_test = backend.call_log.total_cost_usd()
-        test_report = score(
-            server.best_prompt.text, data.test, backend, metadata={"phase": "test"}
-        )
+        test_report = score(best_prompt.text, data.test, backend, metadata={"phase": "test"})
         final_test_cost = backend.call_log.total_cost_usd() - cost_before_test
     finally:
         backend.close()  # no worker thread or created session outlives the run
 
     return RunReport(
-        best_prompt=server.best_prompt,
-        final_prompt=server.global_prompt,
-        best_val_accuracy=server.best_val_score,
+        best_prompt=best_prompt,
+        final_prompt=global_prompt,
+        best_val_accuracy=best_val_accuracy,
         test_accuracy=test_report.accuracy,
         test_parse_failures=test_report.parse_failures,
         total_cost_usd=sum(r.round_cost_usd for r in records),

@@ -345,6 +345,14 @@ class TestNgramBackend:
         for i, word in enumerate(text):
             assert oracle.prob(word, text[:i]) == reference.prob(word, text[:i])
 
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_a_long_text_scores_alike_under_any_order_past_the_longest_line(self, alpha):
+        corpus = ["a b c a", "b b", "c a b"]
+        text = " ".join(["a b c a b z b b c a"] * 2000)  # 20,000 tokens, "z" out of vocabulary
+        huge = NgramBackend(corpus, order=10**6, alpha=alpha).token_logprobs("", text)
+        assert len(huge.tokens) == 20_000
+        assert huge == NgramBackend(corpus, order=4 + 1, alpha=alpha).token_logprobs("", text)
+
     def test_mle_deterministic_bigram(self):
         # "a b a b a b": a is always followed by b, so P(b|a) = 3/3
         oracle = NgramBackend("a b a b a b", order=2, alpha=0.0)

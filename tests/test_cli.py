@@ -412,8 +412,9 @@ class TestRunCommand:
             ({"kind": "mock", "modle_id": "typo"}, False),
             ({"kind": "remote", "endpoint": _ENDPOINT, "supports_logprobs": False}, False),
             ({"supports_logprobs": False}, True),
+            ({"kind": "remote", "endpoint": _ENDPOINT, "api_key": "sk-test"}, False),
         ],
-        ids=["typo", "removed-key", "old-manifest"],
+        ids=["typo", "removed-key", "old-manifest", "credential"],
     )
     def test_unknown_backend_key_exits_config_before_the_run_directory(self, tmp_path, capsys, backend, manifest):
         (key,) = backend.keys() - {"kind", "endpoint"}

@@ -13,6 +13,7 @@ import re
 import sys
 import tempfile
 import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -229,6 +230,17 @@ class TestFanOut:
         assert set(threads) == {threading.get_ident()}
         assert (backend.fan_out.deciding, backend.fan_out.waiting) == (False, False)
         assert thread_starts == []
+
+    def test_a_gather_counts_its_caller_as_a_worker(self, thread_starts):
+        fan_out = base.FanOut()
+        for _ in range(base.DECIDING_CALLS):
+            fan_out.observe(0.01, 0.0)
+        assert fan_out.waiting
+        try:
+            assert fan_out.gather([lambda i=i: (time.sleep(0.02), i)[1] for i in range(3)]) == [0, 1, 2]
+        finally:
+            fan_out.close()
+        assert len(thread_starts) == 2
 
     def test_memo_answers_do_not_decide(self):
         backend = _remote(LatencySession(_LATENCY))

@@ -16,6 +16,7 @@ from fedprompt.backends.rules import (
     forward_rule,
     gradient_prompt_rule,
     gradient_response_rule,
+    tgd_rule,
 )
 from fedprompt.errors import (
     ConfigError,
@@ -25,9 +26,7 @@ from fedprompt.errors import (
 )
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import (
-    ClientState,
     RunConfig,
-    ServerState,
     client_update,
     run,
     sample_clients,
@@ -53,10 +52,6 @@ def stamping_backend() -> MockBackend:
     backend.add_rule(gradient_response_rule)
     backend.add_rule(gradient_prompt_rule)
     return backend
-
-
-def _client(n_examples: int = 4, cid: int = 0) -> ClientState:
-    return ClientState(id=cid, partition=make_examples(n_examples))
 
 
 def _p0(text: str = "Count the items. " + FINAL_INSTRUCTION) -> PromptState:
@@ -90,9 +85,8 @@ class TestSampling:
 class TestClientUpdate:
     def test_mini_trace_single_example(self):
         backend = counting_rule_backend()
-        client = _client(1)
         cfg = RunConfig(local_epochs=1, batch_size=1)
-        result = client_update(client, _p0(), cfg, backend)
+        result = client_update(0, make_examples(1), _p0(), cfg, backend)
         assert backend.call_log.tags() == [
             "forward",
             "evaluation",
@@ -112,24 +106,21 @@ class TestClientUpdate:
 
     def test_update_count_three_epochs(self):
         backend = counting_rule_backend()
-        client = _client(9)
         cfg = RunConfig(local_epochs=3, batch_size=3)
-        result = client_update(client, _p0(), cfg, backend)
+        result = client_update(0, make_examples(9), _p0(), cfg, backend)
         assert backend.call_log.counts_by_tag()["tgd_step"] == 9
         assert len(result.decisions) == 9
 
     def test_partial_batch_rounds_up(self):
         backend = counting_rule_backend()
-        client = _client(4)
         cfg = RunConfig(local_epochs=1, batch_size=3)
-        result = client_update(client, _p0(), cfg, backend)
+        result = client_update(0, make_examples(4), _p0(), cfg, backend)
         assert len(result.decisions) == 2  # ceil(4 / 3)
 
     def test_acceptance_scores_the_update_batch(self):
         backend = counting_rule_backend()
-        client = _client(6)
         cfg = RunConfig(local_epochs=1, batch_size=2)
-        result = client_update(client, _p0(), cfg, backend)
+        result = client_update(0, make_examples(6), _p0(), cfg, backend)
         for decision in result.decisions:
             assert len(decision.example_ids) == cfg.batch_size
             for phase in ("acceptance_pre", "acceptance_post"):
@@ -144,7 +135,7 @@ class TestClientUpdate:
 
     def test_accepted_update_takes_candidate_text(self):
         backend = counting_rule_backend()
-        result = client_update(_client(2, cid=5), _p0(), RunConfig(local_epochs=1, batch_size=2), backend, round_no=3)
+        result = client_update(5, make_examples(2), _p0(), RunConfig(local_epochs=1, batch_size=2), backend, round_no=3)
         assert result.decisions[0].accepted is True
         assert result.prompt.text == REVISED_PROMPT
         assert result.prompt.version == (3, 5)
@@ -157,16 +148,15 @@ class TestClientUpdate:
         backend = alternating_backend()
         incoming = _p0()
         cfg = RunConfig(local_epochs=1, batch_size=2)
-        result = client_update(_client(2), incoming, cfg, backend)
+        result = client_update(0, make_examples(2), incoming, cfg, backend)
         assert [d.accepted for d in result.decisions] == [False]
         assert result.prompt is incoming
         assert result.prompt.text == incoming.text
 
     def test_acceptance_rule_is_no_regression(self):
         backend = alternating_backend()
-        client = _client(8)
         cfg = RunConfig(local_epochs=3, batch_size=2)
-        result = client_update(client, _p0(), cfg, backend)
+        result = client_update(0, make_examples(8), _p0(), cfg, backend)
         assert any(d.accepted for d in result.decisions)
         assert any(not d.accepted for d in result.decisions)
         for decision in result.decisions:
@@ -176,24 +166,22 @@ class TestClientUpdate:
 
     def test_same_seed_same_batches(self):
         cfg = RunConfig(local_epochs=2, batch_size=3, seed=11)
-        first = client_update(_client(7), _p0(), cfg, counting_rule_backend())
-        second = client_update(_client(7), _p0(), cfg, counting_rule_backend())
+        first = client_update(0, make_examples(7), _p0(), cfg, counting_rule_backend())
+        second = client_update(0, make_examples(7), _p0(), cfg, counting_rule_backend())
         assert [d.example_ids for d in first.decisions] == [
             d.example_ids for d in second.decisions
         ]
 
     def test_empty_partition_rejected(self):
         with pytest.raises(EmptyPartition):
-            client_update(
-                ClientState(id=0, partition=[]), _p0(), RunConfig(), counting_rule_backend()
-            )
+            client_update(0, [], _p0(), RunConfig(), counting_rule_backend())
 
     def test_oversized_prompt_rejected_before_any_call(self):
         descriptor = BackendDescriptor(kind="mock", model_id="tiny", context_window=16)
         backend = counting_rule_backend(descriptor)
         big = _p0(" ".join(["word"] * 30))
         with pytest.raises(ContextWindowExceeded):
-            client_update(_client(2), big, RunConfig(), backend)
+            client_update(0, make_examples(2), big, RunConfig(), backend)
         assert len(backend.call_log) == 0
 
 
@@ -206,68 +194,53 @@ class TestServerRound:
             batch_size=2,
             **overrides,
         )
-        clients = [
-            ClientState(id=cid, partition=make_examples(4)) for cid in range(n_clients)
-        ]
-        server = ServerState(global_prompt=_p0())
-        return cfg, clients, server
+        partitions = [make_examples(4) for _ in range(n_clients)]
+        return cfg, partitions
 
     def test_concat_joins_client_prompts_by_id(self):
-        cfg, clients, server = self._setup()
+        cfg, partitions = self._setup()
         backend = stamping_backend()
         record, snapshots, _ = server_round(
-            server, clients, cfg, backend, make_examples(3), templates=None
+            _p0(), 1, partitions, cfg, backend, make_examples(3), templates=None
         )
         expected = "\n\n".join(
             f"[client {cid}] Count carefully. {FINAL_INSTRUCTION}" for cid in range(3)
         )
-        assert server.global_prompt.text == expected
         assert snapshots["global"].text == expected
         assert record.per_client_tokens == [
             len(snapshots[str(cid)].text.split()) for cid in range(3)
         ]
 
     def test_global_prompt_version_restamped(self):
-        cfg, clients, server = self._setup()
-        server_round(server, clients, cfg, stamping_backend(), make_examples(3))
-        assert server.global_prompt.version == (1, "server")
-        assert server.global_prompt.parent_version == (0, "server")
-        assert server.global_prompt.producer == "concat"
-        assert server.round == 1
+        cfg, partitions = self._setup()
+        incoming = _p0()
+        record, snapshots, _ = server_round(incoming, 1, partitions, cfg, stamping_backend(), make_examples(3))
+        assert snapshots["global"].version == (1, "server")
+        assert snapshots["global"].parent_version == (0, "server")
+        assert snapshots["global"].producer == "concat"
+        assert record.round == 1
+        assert incoming == _p0()  # the round changes nothing it was given
 
     def test_subsampled_round_snapshots_only_sampled_clients(self):
-        cfg, clients, server = self._setup(sampling_rate=0.5)
+        cfg, partitions = self._setup(sampling_rate=0.5)
         record, snapshots, _ = server_round(
-            server, clients, cfg, stamping_backend(), make_examples(3)
+            _p0(), 1, partitions, cfg, stamping_backend(), make_examples(3)
         )
         assert len(record.per_client_tokens) == 1  # floor(0.5 * 3) = 1
         sampled_keys = set(snapshots) - {"global"}
         assert len(sampled_keys) == 1
         assert sampled_keys < {"0", "1", "2"}
 
-    def test_best_prompt_strictly_improves(self):
-        cfg, clients, server = self._setup()
-        backend = stamping_backend()
-        val = make_examples(3)
-        server_round(server, clients, cfg, backend, val)
-        first_best = server.best_prompt
-        server_round(server, clients, cfg, backend, val)
-        # same val accuracy in round 2: the tie keeps the round-1 selection
-        assert server.best_prompt is first_best
-        assert server.best_prompt.version == (1, "server")
-
     def test_client_failure_aborts_round(self):
-        cfg, clients, server = self._setup()
+        cfg, partitions = self._setup()
         backend = MockBackend()  # no rules at all: first forward has no match
         with pytest.raises(NoScriptMatch):
-            server_round(server, clients, cfg, backend, make_examples(3))
-        assert server.round == 0
-        assert server.global_prompt.version == (0, "server")
+            server_round(_p0(), 1, partitions, cfg, backend, make_examples(3))
 
     def test_round_record_call_accounting(self):
-        cfg, clients, server = self._setup()
+        cfg, partitions = self._setup()
         backend = stamping_backend()
-        record, _, decisions = server_round(server, clients, cfg, backend, make_examples(3))
+        record, _, decisions = server_round(_p0(), 1, partitions, cfg, backend, make_examples(3))
         # 3 clients x 2 batches: per batch 2 update forwards, 2+2 acceptance
         # forwards, 1 update step; plus 3 validation forwards at the server
         assert record.llm_calls_by_tag["tgd_step"] == 6
@@ -286,9 +259,9 @@ class TestServerRound:
             usd_per_1k_prompt_tokens=0.5,
             usd_per_1k_completion_tokens=1.5,
         )
-        cfg, clients, server = self._setup()
+        cfg, partitions = self._setup()
         backend = counting_rule_backend(descriptor)
-        record, _, _ = server_round(server, clients, cfg, backend, make_examples(3))
+        record, _, _ = server_round(_p0(), 1, partitions, cfg, backend, make_examples(3))
         assert record.round_cost_usd > 0
         assert record.cumulative_cost_usd == pytest.approx(record.round_cost_usd)
         assert record.round_cost_usd == pytest.approx(backend.call_log.total_cost_usd())
@@ -312,6 +285,31 @@ class TestRun:
         assert [d for _, _, decisions in barriers for d in decisions] == report.decisions
         assert barriers[-1][1]["global"] == report.final_prompt
         assert report.final_prompt.version == (2, "server")
+
+    def test_validation_tie_keeps_the_earlier_prompt(self):
+        cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2)
+        report = run(cfg, _federated(), counting_rule_backend())
+        assert report.records[0].val_accuracy == report.records[1].val_accuracy
+        assert report.best_prompt.version == (1, "server")
+        assert report.final_prompt.version == (2, "server")
+
+    def test_strictly_higher_validation_selects_the_later_prompt(self):
+        def wrong_in_round_1(request):
+            meta = request.metadata
+            if request.tag == "forward" and (meta.get("phase"), meta.get("round")) == ("validation", 1):
+                return "Answer: -1"
+            return None
+
+        backend = MockBackend()
+        rules = (wrong_in_round_1, forward_rule, evaluation_rule, gradient_response_rule, gradient_prompt_rule, tgd_rule)
+        for rule in rules:
+            backend.add_rule(rule)
+        cfg = RunConfig(num_clients=3, rounds=2, local_epochs=1, batch_size=2)
+        report = run(cfg, _federated(), backend)
+        assert [r.val_accuracy for r in report.records] == [0.0, 1.0]
+        assert report.best_prompt.version == (2, "server")
+        assert report.best_prompt is report.final_prompt
+        assert report.best_val_accuracy == 1.0
 
     def test_initial_prompt_never_validated(self):
         cfg = RunConfig(num_clients=2, rounds=1, local_epochs=1, batch_size=2)
