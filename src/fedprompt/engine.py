@@ -1,10 +1,10 @@
-"""Textual-gradient computation graph.
+"""Textual-gradient steps over plain strings.
 
 The optimization variable is text. A forward pass answers a query with the
 current prompt; an evaluation pass judges the answer; the backward pass asks
 the model for criticism — first of the response, then of the prompt given
 that criticism (the chain rule, in prose) — and the update step rewrites the
-prompt to incorporate the accumulated criticisms.
+prompt to incorporate the criticisms gathered for it.
 
 Each function records the ``metadata`` it is given as is, without a copy, so
 one example's calls share the caller's dict; callers must not mutate it
@@ -13,165 +13,81 @@ afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 from fedprompt.backends.base import Backend, GenerationRequest
-from fedprompt.errors import EmptyGradient, GraphNotEvaluated
+from fedprompt.errors import EmptyGradient
 from fedprompt.templates import Templates, default_templates, fill
 
-
-@dataclass
-class Variable:
-    """A node in the graph: a text value plus its role and feedback."""
-
-    value: str
-    role_description: str = ""
-    requires_grad: bool = False
-    gradients: list[str] = field(default_factory=list)
-    predecessors: list["Variable"] = field(default_factory=list)
+Metadata = dict[str, Any] | None
 
 
-def forward_response(
-    prompt: Variable,
-    query: Variable,
-    backend: Backend,
-    metadata: dict[str, Any] | None = None,
-) -> Variable:
+def _generate(backend: Backend, tag: str, system_text: str, user_text: str, metadata: Metadata) -> str:
+    request = GenerationRequest(tag=tag, system_text=system_text, user_text=user_text, metadata=metadata or {})
+    return backend.generate(request).text
+
+
+def forward_response(prompt: str, query: str, backend: Backend, metadata: Metadata = None) -> str:
     """Generate a response to ``query`` under ``prompt``.
 
     The prompt rides in the system channel and the query in the user channel.
     """
-    if not prompt.value or not query.value:
-        raise ValueError("forward_response needs non-empty prompt and query values")
-    result = backend.generate(
-        GenerationRequest(
-            tag="forward",
-            system_text=prompt.value,
-            user_text=query.value,
-            metadata=metadata or {},
-        )
-    )
-    return Variable(
-        value=result.text,
-        role_description="response to the query",
-        requires_grad=True,
-        predecessors=[prompt, query],
-    )
+    if not prompt or not query:
+        raise ValueError("forward_response needs a non-empty prompt and query")
+    return _generate(backend, "forward", prompt, query, metadata)
 
 
 def evaluate(
-    response: Variable,
-    ground_truth: str,
-    eval_instruction: str,
-    backend: Backend,
-    metadata: dict[str, Any] | None = None,
-) -> Variable:
+    response: str, ground_truth: str, eval_instruction: str, backend: Backend, metadata: Metadata = None
+) -> str:
     """Judge ``response`` against ``ground_truth``.
 
     The judge sees response, instruction, and ground truth concatenated in
-    that order; its prose verdict becomes the evaluation variable.
+    that order; its prose verdict is the evaluation.
     """
     if not eval_instruction:
         raise ValueError("evaluate needs a non-empty eval_instruction")
-    user_text = "\n\n".join([response.value, eval_instruction, ground_truth])
-    result = backend.generate(
-        GenerationRequest(
-            tag="evaluation",
-            system_text="",
-            user_text=user_text,
-            metadata=metadata or {},
-        )
-    )
-    return Variable(
-        value=result.text,
-        role_description="evaluation of the response",
-        requires_grad=False,
-        predecessors=[response],
-    )
+    user_text = "\n\n".join([response, eval_instruction, ground_truth])
+    return _generate(backend, "evaluation", "", user_text, metadata)
 
 
 def backward(
-    evaluation: Variable,
+    prompt: str,
+    response: str,
+    evaluation: str,
     backend: Backend,
     templates: Templates | None = None,
-    metadata: dict[str, Any] | None = None,
-) -> None:
-    """Propagate the evaluation back to the prompt as textual feedback.
+    metadata: Metadata = None,
+) -> str:
+    """Turn the evaluation of ``response`` into criticism of ``prompt``.
 
     Two calls, in order: criticism of the response given the evaluation,
     then criticism of the prompt given the response and that criticism.
-    Feedback is appended only to variables with ``requires_grad`` set.
+    Returns the prompt's criticism.
     """
     templates = templates or default_templates()
-    if not evaluation.predecessors:
-        raise GraphNotEvaluated("evaluation variable has no response predecessor")
-    response = evaluation.predecessors[0]
-    if not response.predecessors:
-        raise GraphNotEvaluated("response variable has no prompt predecessor")
-    prompt = next(
-        (v for v in response.predecessors if v.requires_grad), response.predecessors[0]
+    user_text = fill(templates.gradient_response_template, response=response, evaluation=evaluation)
+    feedback = _generate(backend, "gradient_response", "", user_text, metadata)
+    user_text = fill(
+        templates.gradient_prompt_template, prompt=prompt, response=response, response_feedback=feedback
     )
-
-    response_feedback = backend.generate(
-        GenerationRequest(
-            tag="gradient_response",
-            system_text="",
-            user_text=fill(
-                templates.gradient_response_template,
-                response=response.value,
-                evaluation=evaluation.value,
-            ),
-            metadata=metadata or {},
-        )
-    ).text
-    if response.requires_grad:
-        response.gradients.append(response_feedback)
-
-    prompt_feedback = backend.generate(
-        GenerationRequest(
-            tag="gradient_prompt",
-            system_text="",
-            user_text=fill(
-                templates.gradient_prompt_template,
-                prompt=prompt.value,
-                response=response.value,
-                response_feedback=response_feedback,
-            ),
-            metadata=metadata or {},
-        )
-    ).text
-    if prompt.requires_grad:
-        prompt.gradients.append(prompt_feedback)
+    return _generate(backend, "gradient_prompt", "", user_text, metadata)
 
 
 def tgd_step(
-    prompt: Variable,
+    prompt: str,
+    criticisms: list[str],
     backend: Backend,
     templates: Templates | None = None,
-    metadata: dict[str, Any] | None = None,
-) -> Variable:
-    """Rewrite the prompt to incorporate its accumulated criticisms.
+    metadata: Metadata = None,
+) -> str:
+    """Rewrite ``prompt`` to incorporate ``criticisms``, in their order.
 
     Unconditional: whether the rewritten prompt replaces the old one is the
     caller's decision, not this function's.
     """
     templates = templates or default_templates()
-    if not prompt.gradients:
-        raise EmptyGradient("tgd_step called with no accumulated gradients")
-    criticisms = "\n".join(f"- {g}" for g in prompt.gradients)
-    result = backend.generate(
-        GenerationRequest(
-            tag="tgd_step",
-            system_text="",
-            user_text=fill(templates.tgd_template, prompt=prompt.value, criticisms=criticisms),
-            metadata=metadata or {},
-        )
-    )
-    return Variable(
-        value=result.text,
-        role_description=prompt.role_description,
-        requires_grad=True,
-        gradients=[],
-        predecessors=[prompt],
-    )
+    if not criticisms:
+        raise EmptyGradient("tgd_step called with no criticisms")
+    user_text = fill(templates.tgd_template, prompt=prompt, criticisms="\n".join(f"- {c}" for c in criticisms))
+    return _generate(backend, "tgd_step", "", user_text, metadata)

@@ -34,12 +34,8 @@ class NoScriptMatch(BackendError):
     """The scripted backend has no entry for a request; it never improvises."""
 
 
-class GraphNotEvaluated(FedPromptError):
-    """Backward pass requested on a variable that was never evaluated."""
-
-
 class EmptyGradient(FedPromptError):
-    """A prompt update was requested before any gradients accumulated."""
+    """A prompt update was requested with no criticisms."""
 
 
 class EmptyText(FedPromptError):

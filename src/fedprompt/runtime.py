@@ -18,7 +18,7 @@ from fedprompt.aggregation import (
     aggregate,
 )
 from fedprompt.backends.base import Backend, count_tokens
-from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
+from fedprompt.engine import backward, evaluate, forward_response, tgd_step
 from fedprompt.errors import ConfigError, ContextWindowExceeded, EmptyPartition
 from fedprompt.prompts import FINAL_INSTRUCTION, PromptState
 from fedprompt.tasks import FederatedData, TaskExample, exact_fraction, score
@@ -164,35 +164,27 @@ def client_update(
         for batch_index in range(batches_per_epoch):
             batch = [rng.choice(partition) for _ in range(cfg.batch_size)]
             meta = {"client_id": client_id, "round": round_no, "epoch": epoch, "batch_index": batch_index}
-            prompt_var = Variable(
-                current.text, "system prompt for reasoning task", requires_grad=True
-            )
 
-            def criticize(ex: TaskExample) -> list[str]:
-                # its own copy of the prompt variable, so passes may overlap;
-                # the criticisms join in batch order below
-                prompt = Variable(prompt_var.value, prompt_var.role_description, requires_grad=True)
+            def criticize(prompt: str, ex: TaskExample) -> str:
                 example_meta = {**meta, "example_id": ex.id}
-                query_var = Variable(ex.question, "query to be answered")
-                response = forward_response(prompt, query_var, backend, metadata=example_meta)
+                response = forward_response(prompt, ex.question, backend, metadata=example_meta)
                 evaluation = evaluate(
                     response, ex.answer, templates.evaluation_instruction, backend, metadata=example_meta
                 )
-                backward(evaluation, backend, templates, metadata=example_meta)
-                return prompt.gradients
+                return backward(prompt, response, evaluation, backend, templates, metadata=example_meta)
 
-            for gradients in backend.fan_out.gather([partial(criticize, ex) for ex in batch]):
-                prompt_var.gradients.extend(gradients)
-            candidate_var = tgd_step(prompt_var, backend, templates, metadata=meta)
+            # one criticism per example, in batch order however the passes overlap
+            criticisms = backend.fan_out.gather([partial(criticize, current.text, ex) for ex in batch])
+            candidate_text = tgd_step(current.text, criticisms, backend, templates, metadata=meta)
 
             incumbent, candidate = backend.fan_out.gather([
                 partial(score, current.text, batch, backend, metadata={**meta, "phase": "acceptance_pre"}),
-                partial(score, candidate_var.value, batch, backend, metadata={**meta, "phase": "acceptance_post"}),
+                partial(score, candidate_text, batch, backend, metadata={**meta, "phase": "acceptance_post"}),
             ])
             accepted = candidate.accuracy >= incumbent.accuracy
             if accepted:
                 current = PromptState(
-                    text=candidate_var.value,
+                    text=candidate_text,
                     version=(round_no, client_id),
                     parent_version=incoming_prompt.version,
                     producer="tgd",

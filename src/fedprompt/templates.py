@@ -1,13 +1,13 @@
 """Prompt templates for gradient, update, and summarization calls.
 
 Templates live in a JSON file so a run manifest can pin their exact bytes.
-Placeholders are spelled ``{name}`` and substituted with plain string
-replacement — prompts routinely contain braces, so ``str.format`` is a trap
-here.
+Placeholders are spelled ``{name}`` and substituted in one pass — prompts
+routinely contain braces, so ``str.format`` is a trap here.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
@@ -17,13 +17,23 @@ from fedprompt.inputs import BUNDLED, fault, read_json
 
 TGD_ANCHOR = "Below are the criticisms on"
 
+#: The placeholders the package fills in each template; each must be present.
+PLACEHOLDERS = {
+    "gradient_response_template": ("{response}", "{evaluation}"),
+    "gradient_prompt_template": ("{prompt}", "{response}", "{response_feedback}"),
+    "tgd_template": ("{prompt}", "{criticisms}"),
+    "summarize_template": ("{prompts}",),
+    "summarize_uid_template": ("{prompts}",),
+}
+
 
 def fill(template: str, **values: str) -> str:
-    """Substitute ``{key}`` placeholders without interpreting other braces."""
-    out = template
-    for key, value in values.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+    """Substitute ``{key}`` placeholders in one pass over ``template``.
+
+    Other braces are left alone, and inserted text is never searched again,
+    so a value holding ``{response}`` stays as written.
+    """
+    return re.sub(r"\{(\w+)\}", lambda m: values.get(m[1], m[0]), template)
 
 
 @dataclass(frozen=True)
@@ -38,12 +48,10 @@ class Templates:
     def __post_init__(self) -> None:
         if TGD_ANCHOR not in self.tgd_template:
             raise ConfigError(f"tgd_template must contain the anchor {TGD_ANCHOR!r}")
-        for placeholder in ("{prompt}", "{criticisms}"):
-            if placeholder not in self.tgd_template:
-                raise ConfigError(f"tgd_template must contain the placeholder {placeholder}")
-        for name in ("summarize_template", "summarize_uid_template"):
-            if "{prompts}" not in getattr(self, name):
-                raise ConfigError(f"{name} must contain the placeholder {{prompts}}")
+        for name, placeholders in PLACEHOLDERS.items():
+            for placeholder in placeholders:
+                if placeholder not in getattr(self, name):
+                    raise ConfigError(f"{name} must contain the placeholder {placeholder}")
 
     @classmethod
     def from_file(cls, path: str | Path, digests: dict[str, str] | None = None) -> "Templates":
@@ -56,7 +64,10 @@ class Templates:
         wrong = [n for n in names if not (isinstance(raw, dict) and isinstance(raw.get(n), str))]
         if wrong:
             raise fault(ConfigError, "template", source, f"needs a JSON object with string keys {', '.join(wrong)}")
-        return cls(**{n: raw[n] for n in names})
+        try:
+            return cls(**{n: raw[n] for n in names})
+        except ConfigError as exc:
+            raise fault(ConfigError, "template", source, str(exc)) from exc
 
 
 @lru_cache(maxsize=1)

@@ -22,7 +22,7 @@ from fedprompt.backends.mock import MockBackend
 from fedprompt.backends.ngram import NgramBackend
 from fedprompt.backends.rules import counting_rule_backend
 from fedprompt.cli import main
-from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
+from fedprompt.engine import backward, evaluate, forward_response, tgd_step
 from fedprompt.errors import ContextWindowExceeded
 from fedprompt.prompts import PromptState
 from fedprompt.runtime import RunConfig, run, sample_clients
@@ -458,21 +458,18 @@ def _centralized_reference(
         for _epoch in range(cfg.local_epochs):
             for _batch_no in range(batches_per_epoch):
                 batch = [rng.choice(partition) for _ in range(cfg.batch_size)]
-                prompt_var = Variable(
-                    current, "system prompt for reasoning task", requires_grad=True
-                )
+                criticisms = []
                 for ex in batch:
-                    query = Variable(ex.question, "query to be answered")
-                    response = forward_response(prompt_var, query, backend)
+                    response = forward_response(current, ex.question, backend)
                     evaluation = evaluate(
                         response, ex.answer, templates.evaluation_instruction, backend
                     )
-                    backward(evaluation, backend, templates)
-                candidate = tgd_step(prompt_var, backend, templates)
+                    criticisms.append(backward(current, response, evaluation, backend, templates))
+                candidate = tgd_step(current, criticisms, backend, templates)
                 incumbent_report = score(current, batch, backend)
-                candidate_report = score(candidate.value, batch, backend)
+                candidate_report = score(candidate, batch, backend)
                 if candidate_report.accuracy >= incumbent_report.accuracy:
-                    current = candidate.value
+                    current = candidate
         validation = score(current, data.val, backend)
         if best_accuracy is None or validation.accuracy > best_accuracy:
             best, best_accuracy = current, validation.accuracy

@@ -496,6 +496,20 @@ class TestRunCommand:
         assert payload["message"].startswith(f"mock script file {script}{problem}")
         assert not out.exists()
 
+    def test_a_templates_file_missing_a_placeholder_exits_config_before_the_run_directory(self, tmp_path, capsys):
+        doc = json.loads((BUNDLED / "templates.json").read_text(encoding="utf-8"))
+        doc["gradient_response_template"] = doc["gradient_response_template"].replace("{evaluation}", "")
+        templates = tmp_path / "templates.json"
+        templates.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([*_run_args(_dataset(tmp_path), out), "--templates", str(templates)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        problem = "gradient_response_template must contain the placeholder {evaluation}"
+        assert json.loads(line) == {
+            "category": "config", "error": "ConfigError", "message": f"template file {templates}: {problem}"
+        }
+        assert not out.exists()
+
     @pytest.mark.parametrize("source", ["flags", "config-file"])
     def test_cassette_mode_without_a_cassette_exits_config_before_any_post(self, tmp_path, monkeypatch, capsys, source):
         session = LatencySession()

@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedprompt.backends.base import GENERATION_TAGS
 from fedprompt.backends.mock import MockBackend
-from fedprompt.engine import Variable, backward, evaluate, forward_response, tgd_step
-from fedprompt.errors import EmptyGradient, GraphNotEvaluated
+from fedprompt.engine import backward, evaluate, forward_response, tgd_step
+from fedprompt.errors import EmptyGradient
 from fedprompt.templates import Templates, default_templates
 
 
@@ -28,17 +31,29 @@ def _scripted_backend() -> MockBackend:
     return backend
 
 
-def _vars() -> tuple[Variable, Variable]:
-    prompt = Variable(
-        "Answer with 'Answer: N'", "system prompt for reasoning task", requires_grad=True
-    )
-    query = Variable("2 cars and 1 stove - how many objects?", "query to be answered")
-    return prompt, query
+PROMPT = "Answer with 'Answer: N'"
+QUERY = "2 cars and 1 stove - how many objects?"
+
+PLACEHOLDER_NAMES = ["prompt", "response", "evaluation", "response_feedback", "criticisms", "prompts"]
+#: Texts made of braces, every template's placeholders and non-ASCII characters.
+TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from([f"{{{n}}}" for n in PLACEHOLDER_NAMES] + ["{", "}", "{}", "{{prompt}}"]),
+        st.text(alphabet="ab {}_\\\né日💡", max_size=6),
+    ),
+    max_size=6,
+).map("".join)
+
+
+def _reference_fill(template: str, **values: str) -> str:
+    """``template`` split at the placeholders of ``values``, each value joined in."""
+    pieces = re.split("(" + "|".join(re.escape("{" + k + "}") for k in values) + ")", template)
+    return "".join(values[p[1:-1]] if i % 2 else p for i, p in enumerate(pieces))
 
 
 def _forward_then_evaluate(
-    prompt: Variable, query: Variable, truth: str, backend: MockBackend
-) -> tuple[Variable, Variable]:
+    prompt: str, query: str, truth: str, backend: MockBackend
+) -> tuple[str, str]:
     """One example's forward pass and judged evaluation, as the runtime chains them."""
     response = forward_response(prompt, query, backend)
     evaluation = evaluate(
@@ -51,26 +66,19 @@ class TestForward:
     def test_rule_mock_arithmetic(self):
         from fedprompt.backends.rules import counting_rule_backend
 
-        prompt, query = _vars()
-        response = forward_response(prompt, query, counting_rule_backend())
-        assert response.value.endswith("Answer: 3")
-
-    def test_predecessors_are_prompt_and_query(self):
-        prompt, query = _vars()
-        response = forward_response(prompt, query, _scripted_backend())
-        assert response.predecessors == [prompt, query]
+        response = forward_response(PROMPT, QUERY, counting_rule_backend())
+        assert response.endswith("Answer: 3")
 
     def test_channels(self):
-        prompt, query = _vars()
         backend = _scripted_backend()
-        forward_response(prompt, query, backend)
+        forward_response(PROMPT, QUERY, backend)
         request = backend.call_log.records()[0].request
-        assert request.system_text == prompt.value
-        assert request.user_text == query.value
+        assert request.system_text == PROMPT
+        assert request.user_text == QUERY
 
     def test_empty_prompt_rejected(self):
         with pytest.raises(ValueError):
-            forward_response(Variable(""), Variable("q"), _scripted_backend())
+            forward_response("", "q", _scripted_backend())
 
     def test_worked_arithmetic_reasoning(self):
         backend = MockBackend()
@@ -84,28 +92,19 @@ class TestForward:
             "Counting one of each plus the cars, the total number of objects is "
             "1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 = 11. Answer: 11",
         )
-        response = forward_response(
-            Variable("count prompt", requires_grad=True), Variable(question), backend
-        )
-        assert "1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 = 11" in response.value
+        response = forward_response("count prompt", question, backend)
+        assert "1 + 1 + 1 + 1 + 1 + 1 + 1 + 4 = 11" in response
 
 
 class TestEvaluate:
     def test_scripted_judge_verdicts(self):
         backend = _scripted_backend()
-        response = Variable("Answer: 3", requires_grad=True)
-        evaluation = evaluate(response, "3", "Judge the response.", backend)
-        assert evaluation.value == "The response is correct."
-
-    def test_predecessor_is_response(self):
-        response = Variable("Answer: 3", requires_grad=True)
-        evaluation = evaluate(response, "3", "Judge.", _scripted_backend())
-        assert evaluation.predecessors == [response]
+        evaluation = evaluate("Answer: 3", "3", "Judge the response.", backend)
+        assert evaluation == "The response is correct."
 
     def test_judge_input_order(self):
         backend = _scripted_backend()
-        response = Variable("Answer: 3", requires_grad=True)
-        evaluate(response, "3", "Judge the response.", backend)
+        evaluate("Answer: 3", "3", "Judge the response.", backend)
         user_text = backend.call_log.records()[0].request.user_text
         assert (
             user_text.index("Answer: 3")
@@ -115,29 +114,21 @@ class TestEvaluate:
 
     def test_requires_instruction(self):
         with pytest.raises(ValueError):
-            evaluate(Variable("r"), "3", "", _scripted_backend())
+            evaluate("r", "3", "", _scripted_backend())
 
 
 class TestForwardTrace:
     def test_call_log_is_exactly_forward_then_evaluation(self):
-        prompt, query = _vars()
         backend = _scripted_backend()
-        _forward_then_evaluate(prompt, query, "3", backend)
+        _forward_then_evaluate(PROMPT, QUERY, "3", backend)
         assert backend.call_log.tags() == ["forward", "evaluation"]
-
-    def test_trace_wires_variables(self):
-        prompt, query = _vars()
-        response, evaluation = _forward_then_evaluate(prompt, query, "3", _scripted_backend())
-        assert response.predecessors == [prompt, query]
-        assert evaluation.predecessors == [response]
 
 
 class TestBackward:
     def test_two_calls_in_order(self):
         backend = _scripted_backend()
-        prompt, query = _vars()
-        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
-        backward(evaluation, backend)
+        response, evaluation = _forward_then_evaluate(PROMPT, QUERY, "3", backend)
+        backward(PROMPT, response, evaluation, backend)
         assert backend.call_log.tags() == [
             "forward",
             "evaluation",
@@ -145,79 +136,49 @@ class TestBackward:
             "gradient_prompt",
         ]
 
-    def test_gradients_append_to_response_and_prompt(self):
+    def test_returns_the_prompt_criticism_of_the_response_criticism(self):
         backend = _scripted_backend()
-        prompt, query = _vars()
-        response, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
-        backward(evaluation, backend)
-        assert response.gradients == ["criticism of the response"]
-        assert prompt.gradients == ["This response can be improved by being specific."]
+        response, evaluation = _forward_then_evaluate(PROMPT, QUERY, "3", backend)
+        criticism = backward(PROMPT, response, evaluation, backend)
+        assert criticism == "This response can be improved by being specific."
+        assert "criticism of the response" in backend.call_log.records()[-1].request.user_text
 
-    def test_one_gradient_per_example(self):
+    def test_one_criticism_per_example(self):
         backend = _scripted_backend()
-        prompt, query = _vars()
+        criticisms = []
         for _ in range(3):
-            _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
-            backward(evaluation, backend)
-        assert len(prompt.gradients) == 3
-
-    def test_frozen_variables_stay_clean(self):
-        backend = _scripted_backend()
-        prompt, query = _vars()
-        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
-        backward(evaluation, backend)
-        assert query.gradients == []
-        assert query.requires_grad is False
+            response, evaluation = _forward_then_evaluate(PROMPT, QUERY, "3", backend)
+            criticisms.append(backward(PROMPT, response, evaluation, backend))
+        assert len(criticisms) == 3
 
     def test_prompt_gradient_phrasing_from_scripted_mock(self):
         backend = _scripted_backend()
-        prompt, query = _vars()
-        _, evaluation = _forward_then_evaluate(prompt, query, "3", backend)
-        backward(evaluation, backend)
-        assert prompt.gradients[0].startswith("This response can be improved by")
-
-    def test_unevaluated_graph_rejected(self):
-        with pytest.raises(GraphNotEvaluated):
-            backward(Variable("loose evaluation"), _scripted_backend())
-
-    def test_response_without_prompt_rejected(self):
-        orphan = Variable("evaluation", predecessors=[Variable("response")])
-        with pytest.raises(GraphNotEvaluated):
-            backward(orphan, _scripted_backend())
+        response, evaluation = _forward_then_evaluate(PROMPT, QUERY, "3", backend)
+        assert backward(PROMPT, response, evaluation, backend).startswith(
+            "This response can be improved by"
+        )
 
 
 class TestTgdStep:
-    def _prompt_with_gradients(self, gradients: list[str]) -> Variable:
-        prompt, _ = _vars()
-        prompt.gradients = list(gradients)
-        return prompt
-
     def test_empty_gradient_rejected(self):
         with pytest.raises(EmptyGradient):
-            tgd_step(self._prompt_with_gradients([]), _scripted_backend())
+            tgd_step(PROMPT, [], _scripted_backend())
 
-    def test_returns_fresh_variable_with_parent_link(self):
-        prompt = self._prompt_with_gradients(["do better"])
-        updated = tgd_step(prompt, _scripted_backend())
-        assert updated.value == "UPDATED PROMPT"
-        assert updated.gradients == []
-        assert updated.predecessors == [prompt]
-        assert updated.requires_grad is True
+    def test_returns_the_rewritten_prompt(self):
+        assert tgd_step(PROMPT, ["do better"], _scripted_backend()) == "UPDATED PROMPT"
 
     def test_request_instantiates_template(self):
         backend = _scripted_backend()
-        prompt = self._prompt_with_gradients(["first criticism", "second criticism"])
-        tgd_step(prompt, backend)
+        tgd_step(PROMPT, ["first criticism", "second criticism"], backend)
         user_text = backend.call_log.records()[-1].request.user_text
         assert "Below are the criticisms on" in user_text
-        assert prompt.value in user_text
+        assert PROMPT in user_text
         assert "Incorporate the criticisms and generate an updated prompt." in user_text
 
     def test_all_gradients_joined_as_bullets(self):
         backend = _scripted_backend()
         criticisms = ["be brief", "be explicit", "show the answer line"]
-        prompt = self._prompt_with_gradients(criticisms)
-        tgd_step(prompt, backend)
+        tgd_step(PROMPT, criticisms, backend)
         user_text = backend.call_log.records()[-1].request.user_text
         for criticism in criticisms:
             assert f"- {criticism}" in user_text
@@ -229,8 +190,7 @@ class TestTgdStep:
             backend.add_rule(
                 lambda r: f"rewritten({len(r.user_text)})" if r.tag == "tgd_step" else None
             )
-            prompt = Variable("same prompt", requires_grad=True, gradients=["same gradient"])
-            return tgd_step(prompt, backend).value
+            return tgd_step("same prompt", ["same gradient"], backend)
 
         assert once() == once()
 
@@ -238,12 +198,12 @@ class TestTgdStep:
 class TestBatchInvariant:
     def test_counts_for_one_batch_step(self):
         backend = _scripted_backend()
-        prompt, _ = _vars()
         batch = [("query one", "1"), ("query two", "2"), ("query three", "3")]
+        criticisms = []
         for question, truth in batch:
-            _, evaluation = _forward_then_evaluate(prompt, Variable(question), truth, backend)
-            backward(evaluation, backend)
-        tgd_step(prompt, backend)
+            response, evaluation = _forward_then_evaluate(PROMPT, question, truth, backend)
+            criticisms.append(backward(PROMPT, response, evaluation, backend))
+        tgd_step(PROMPT, criticisms, backend)
         counts = backend.call_log.counts_by_tag()
         assert counts["forward"] == 3
         assert counts["evaluation"] == 3
@@ -251,6 +211,31 @@ class TestBatchInvariant:
         assert counts["gradient_prompt"] == 3
         assert counts["tgd_step"] == 1
         assert set(GENERATION_TAGS) >= set(counts)
+
+
+class TestRequestTexts:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        prompt=TEXTS, response=TEXTS, evaluation=TEXTS, truth=TEXTS, feedback=TEXTS,
+        criticisms=st.lists(TEXTS, min_size=1, max_size=4),
+    )
+    def test_each_request_is_its_template_with_the_values_joined_in(
+        self, prompt, response, evaluation, truth, feedback, criticisms
+    ):
+        templates = default_templates()
+        backend = MockBackend()
+        backend.add_rule(lambda r: feedback if r.tag == "gradient_response" else "reply")
+        evaluate(response, truth, templates.evaluation_instruction, backend)
+        backward(prompt, response, evaluation, backend, templates)
+        tgd_step(prompt, criticisms, backend, templates)
+        assert [r.request.user_text for r in backend.call_log.records()] == [
+            "\n\n".join([response, templates.evaluation_instruction, truth]),
+            _reference_fill(templates.gradient_response_template, response=response, evaluation=evaluation),
+            _reference_fill(
+                templates.gradient_prompt_template, prompt=prompt, response=response, response_feedback=feedback
+            ),
+            _reference_fill(templates.tgd_template, prompt=prompt, criticisms="\n".join(f"- {c}" for c in criticisms)),
+        ]
 
 
 class TestTemplates:
@@ -304,3 +289,32 @@ class TestTemplates:
 
         out = fill("start {prompt} end", prompt="text with {braces} inside")
         assert out == "start text with {braces} inside end"
+
+    def test_fill_never_substitutes_into_inserted_text(self):
+        from fedprompt.templates import fill
+
+        out = fill("P={prompt} R={response}", prompt="use {response} here", response="RESP")
+        assert out == "P=use {response} here R=RESP"
+
+    @pytest.mark.parametrize(
+        "key, placeholder",
+        [
+            ("gradient_response_template", "{response}"),
+            ("gradient_response_template", "{evaluation}"),
+            ("gradient_prompt_template", "{prompt}"),
+            ("gradient_prompt_template", "{response}"),
+            ("gradient_prompt_template", "{response_feedback}"),
+            ("tgd_template", "{prompt}"),
+            ("tgd_template", "{criticisms}"),
+            ("summarize_template", "{prompts}"),
+            ("summarize_uid_template", "{prompts}"),
+        ],
+    )
+    def test_a_template_missing_a_placeholder_is_an_error_naming_both(self, key, placeholder):
+        from fedprompt.errors import ConfigError
+
+        good = asdict(default_templates())
+        bad = dict(good, **{key: good[key].replace(placeholder, "")})
+        with pytest.raises(ConfigError) as excinfo:
+            Templates.from_dict(bad)
+        assert str(excinfo.value) == f"template file <dict>: {key} must contain the placeholder {placeholder}"
